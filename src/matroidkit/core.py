@@ -73,7 +73,7 @@ class Matroid:
     """
 
     __slots__ = ("ground", "full_mask", "_rank_mask", "_cache", "_full_rank",
-                 "provenance", "name")
+                 "_table", "provenance", "name")
 
     def __init__(self, ground, rank_mask: Callable[[int], int],
                  provenance=None, name: str = "", validate: bool = False):
@@ -84,6 +84,7 @@ class Matroid:
         self._rank_mask = rank_mask
         self._cache: dict[int, int] = {}
         self._full_rank: Optional[int] = None
+        self._table: Optional[np.ndarray] = None
         self.provenance = provenance
         self.name = name
         if validate:
@@ -384,34 +385,33 @@ def same_rank_function(a: Matroid, b: Matroid, cap: int = TABLE_CAP) -> bool:
         return False
     if a.size > cap:
         raise ResourceLimitError(f"rank comparison needs |E| <= {cap}")
-    for mask in range(1 << a.size):
-        if a.r(mask) != b.r(mask):
-            return False
-    return True
+    return np.array_equal(rank_table(a, cap), rank_table(b, cap))
 
 
 def rank_table(m: Matroid, cap: int = TABLE_CAP) -> np.ndarray:
     """Rank of every subset, indexed by mask. uint8 array of length 2^n.
 
-    Graph-backed matroids use a vectorized union-find sweep; anything else
-    walks the oracle.
+    The table is built at most once per matroid, cached on it and returned
+    read-only, so it costs 2^n bytes for as long as the matroid lives.
+    Graph-backed matroids build it by a doubling DP over the edges;
+    anything else walks the oracle.
     """
     n = m.size
     if n > cap or n > TABLE_CAP:
         raise ResourceLimitError(
             f"rank table needs |E| <= {min(cap, TABLE_CAP)}, got {n}"
         )
-    prov = m.provenance
-    fast = getattr(prov, "rank_table_fast", None)
-    if fast is not None:
-        table = fast()
-        if table is not None:
-            return table
-    out = np.empty(1 << n, dtype=np.uint8)
-    rank_mask = m._rank_mask
-    for mask in range(1 << n):
-        out[mask] = rank_mask(mask)
-    return out
+    table = m._table
+    if table is None:
+        fast = getattr(m.provenance, "rank_table_fast", None)
+        if fast is not None:
+            table = fast()
+        if table is None:
+            table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
+                                1 << n)
+        table.setflags(write=False)
+        m._table = table
+    return table
 
 
 def validate_rank_axioms(m: Matroid, cap: int = 14) -> None:

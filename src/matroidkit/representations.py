@@ -147,6 +147,14 @@ def from_matrix(rows: Sequence[Sequence[int]], prime: int,
 # graphs
 
 
+def _check_graph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
+    if n_vertices < 0:
+        raise GroundSetError("n_vertices must be non-negative")
+    for u, v in edges:
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise GroundSetError("edge endpoint out of range")
+
+
 @dataclass(frozen=True)
 class GraphRep:
     """Multigraph; element i is edge i. Loops (u == u) allowed."""
@@ -155,9 +163,7 @@ class GraphRep:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GroundSetError("edge endpoint out of range")
+        _check_graph(self.n_vertices, self.edges)
 
     def matroid(self, name: str = "") -> Matroid:
         edges = self.edges
@@ -210,27 +216,32 @@ class GraphRep:
         return GraphRep(len(roots), new_edges)
 
     def rank_table_fast(self) -> Optional[np.ndarray]:
-        """Vectorized union-find over all edge subsets at once."""
+        """Rank of every edge subset by doubling over the edges.
+
+        Row x of comp holds the component labels (least vertex of each
+        component) of the edge subset x. Rows [2^i, 2^(i+1)) are rows
+        [0, 2^i) with the endpoints of edge i merged; the last edge's copy
+        is never read, so only its rank half is filled.
+        """
         m = len(self.edges)
         nv = self.n_vertices
         if m > 22 or nv > 120:
             return None
-        size = 1 << m
-        comp = np.tile(np.arange(nv, dtype=np.int8), (size, 1))
-        idx = np.arange(size, dtype=np.int64)
+        rank = np.zeros(1 << m, dtype=np.uint8)
+        comp = np.empty((max((1 << m) // 2, 1), nv), dtype=np.int8)
+        comp[0] = np.arange(nv)
         for i, (u, v) in enumerate(self.edges):
-            if u == v:
-                continue
-            sel = ((idx >> i) & 1).astype(bool)
-            sub = comp[sel]
-            lu = sub[:, u]
-            lv = sub[:, v]
-            lo = np.minimum(lu, lv)
-            hi = np.maximum(lu, lv)
-            sub = np.where(sub == hi[:, None], lo[:, None], sub)
-            comp[sel] = sub
-        roots = (comp == np.arange(nv, dtype=np.int8)[None, :]).sum(axis=1)
-        return (nv - roots).astype(np.uint8)
+            half = 1 << i
+            lo = comp[:half]
+            lu = lo[:, u]
+            lv = lo[:, v]
+            rank[half:2 * half] = rank[:half] + (lu != lv)
+            if i + 1 < m:
+                hi = comp[half:2 * half]
+                hi[...] = lo
+                np.copyto(hi, np.minimum(lu, lv)[:, None],
+                          where=lo == np.maximum(lu, lv)[:, None])
+        return rank
 
 
 def from_graph(n_vertices: int, edges: Iterable[tuple[int, int]],
@@ -257,9 +268,7 @@ class EvenCycleRep:
     odd: frozenset[int]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GroundSetError("edge endpoint out of range")
+        _check_graph(self.n_vertices, self.edges)
         if any(not (0 <= i < len(self.edges)) for i in self.odd):
             raise GroundSetError("odd set must index edges")
 
@@ -307,9 +316,7 @@ class SignedGraphRep:
     odd: frozenset[int]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GroundSetError("edge endpoint out of range")
+        _check_graph(self.n_vertices, self.edges)
         if any(not (0 <= i < len(self.edges)) for i in self.odd):
             raise GroundSetError("odd set must index edges")
 

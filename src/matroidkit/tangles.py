@@ -253,10 +253,11 @@ def _small_flags(t: Tangle) -> np.ndarray:
     if n > TABLE_CAP:
         raise ResourceLimitError("tangle ground set too large to tabulate")
     lam, _ = _lambda_table(t.matroid)
-    idx = np.arange(1 << n, dtype=np.int64)
     under = np.zeros(1 << n, dtype=bool)
-    for mx in t.maximal:
-        under |= (idx & ~mx) == 0
+    under[list(t.maximal)] = True
+    for e in range(n):  # close downward: a set is under a member if X + e is
+        v = under.reshape(-1, 2, 1 << e)
+        v[:, 0, :] |= v[:, 1, :]
     return (lam < t.theta - 1) & under
 
 

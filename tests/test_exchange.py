@@ -84,6 +84,13 @@ def test_error_locations():
     assert _loc("{not json") .startswith("line ")
 
 
+@pytest.mark.parametrize("kind", ["graph", "even-cycle", "signed-graph"])
+def test_negative_vertex_count_is_a_format_error(kind):
+    doc = {"format": "matroid-exchange", "version": 1, "kind": kind,
+           "n_vertices": -1, "edges": []}
+    assert _loc(json.dumps(doc)) == "$"
+
+
 def test_recipe_error_locations():
     base = json.loads(serialize(truncation(clique(4))))
 

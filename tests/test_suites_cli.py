@@ -117,6 +117,15 @@ def test_cli_query_missing_file(capsys):
     assert main(["query", "rank", "--matroid", "/nonexistent/m.json"]) == 2
 
 
+def test_cli_query_negative_vertex_count(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "graph", "n_vertices": -1,
+                                "edges": []}))
+    assert main(["query", "rank", "--matroid", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_query_resource_cap(tmp_path, capsys):
     path = tmp_path / "k8.json"
     dump(clique(8), str(path))
