@@ -36,3 +36,21 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def find(parent, x: int) -> int:
+    """Root of x in a union-find forest held in a list or dict, halving
+    the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent, u: int, v: int) -> bool:
+    """Hang u's root under v's root; False when they were already joined."""
+    ru, rv = find(parent, u), find(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True

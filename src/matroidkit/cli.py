@@ -2,17 +2,12 @@
 
 Exit codes: 0 pass, 1 fail (a test answered "no" or a suite failed),
 2 usage or input-format problems, 3 resource cap exceeded.
-
-Caps and parallelism read environment variables when flags are absent:
-MATROIDKIT_WORKERS (suite workers), MATROIDKIT_MINOR_CAP (minor-test
-element cap), MATROIDKIT_GRAPHIC_CAP (graphic-test element cap).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -64,11 +59,6 @@ from .tangles import Tangle, tangle_tk
 _USAGE, _RESOURCE = 2, 3
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    return int(raw) if raw else default
-
-
 def _elements(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -81,6 +71,17 @@ def _elements(text: str) -> list[int]:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
+
+
+def _emit(args, doc: dict, text: str) -> None:
+    """Write doc to --out, then print it (--json) or the text summary."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if args.json:
+        _print_json(doc)
+    else:
+        print(text)
 
 
 def _jsonable(v):
@@ -274,46 +275,31 @@ def cmd_growth_table(args) -> int:
 def cmd_minor_test(args) -> int:
     host = load(args.host)
     target = load(args.target)
-    cap = args.size_cap if args.size_cap is not None \
-        else _env_int("MATROIDKIT_MINOR_CAP", MINOR_SIZE_CAP)
+    cap = args.size_cap if args.size_cap is not None else MINOR_SIZE_CAP
     cert = has_minor(host, target, size_cap=cap)
     found = cert is not None
     doc = {"host": host.name or args.host, "target": target.name or args.target,
            "found": found,
            "certificate": _cert_doc(cert) if found else None}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        _print_json(doc)
-    elif found:
-        print(f"minor found: contract {sorted(cert.contract)}, "
-              f"delete {sorted(cert.delete)}")
-    else:
-        print("no minor (search exhausted)")
+    text = "no minor (search exhausted)"
+    if found:
+        text = (f"minor found: contract {sorted(cert.contract)}, "
+                f"delete {sorted(cert.delete)}")
+    _emit(args, doc, text)
     return 0 if found else 1
 
 
 def cmd_graphic_test(args) -> int:
     m = load(args.matroid)
-    cap = args.size_cap if args.size_cap is not None \
-        else _env_int("MATROIDKIT_GRAPHIC_CAP", GRAPHIC_SIZE_CAP)
+    cap = args.size_cap if args.size_cap is not None else GRAPHIC_SIZE_CAP
     rep = is_graphic(m, size_cap=cap)
     doc = {"matroid": m.name or args.matroid, "graphic": rep is not None}
+    text = "nongraphic (search exhausted)"
     if rep is not None:
         doc["n_vertices"] = rep.n_vertices
         doc["edges"] = [list(e) for e in rep.edges]
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        _print_json(doc)
-    elif rep is not None:
-        print(f"graphic: {rep.n_vertices} vertices, edges {list(rep.edges)}")
-    else:
-        print("nongraphic (search exhausted)")
+        text = f"graphic: {rep.n_vertices} vertices, edges {list(rep.edges)}"
+    _emit(args, doc, text)
     return 0 if rep is not None else 1
 
 
@@ -323,17 +309,10 @@ def cmd_classify_extension(args) -> int:
     doc = {"matroid": m.name or args.matroid, "element": args.element,
            "graphic": cls.graphic, "reason": cls.reason,
            "witness": cls.witness}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        _print_json(doc)
-    else:
-        tail = f" (witness element {cls.witness})" \
-            if cls.witness is not None else ""
-        kind = "graphic" if cls.graphic else "nongraphic"
-        print(f"element {args.element}: {kind}, reason {cls.reason}{tail}")
+    tail = f" (witness element {cls.witness})" \
+        if cls.witness is not None else ""
+    kind = "graphic" if cls.graphic else "nongraphic"
+    _emit(args, doc, f"element {args.element}: {kind}, reason {cls.reason}{tail}")
     return 0
 
 
@@ -344,31 +323,17 @@ def cmd_reduce_extension(args) -> int:
     except ReductionDidNotClose as exc:
         doc = {"closed": False, "reason": str(exc),
                "transcript": _jsonable(list(exc.transcript))}
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        if args.json:
-            _print_json(doc)
-        else:
-            print(f"reduction did not close ({len(exc.transcript)} "
-                  "transcript events)")
+        _emit(args, doc, f"reduction did not close ({len(exc.transcript)} "
+                         "transcript events)")
         return 1
     doc = {"closed": True, "kind": res.kind, "m": res.m,
            "target": res.target.name,
            "certificate": _cert_doc(res.certificate),
            "transcript": _jsonable(list(res.transcript))}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        _print_json(doc)
-    else:
-        print(f"reduced to {res.target.name} ({res.kind} leaf, "
-              f"{len(res.transcript)} transcript events)")
-        print(f"contract {sorted(res.certificate.contract)}, "
-              f"delete {sorted(res.certificate.delete)}")
+    _emit(args, doc, f"reduced to {res.target.name} ({res.kind} leaf, "
+                     f"{len(res.transcript)} transcript events)\n"
+                     f"contract {sorted(res.certificate.contract)}, "
+                     f"delete {sorted(res.certificate.delete)}")
     return 0
 
 
@@ -381,16 +346,9 @@ def cmd_membership_suite(args) -> int:
                         "certificate": _cert_doc(rec.certificate)
                         if rec.certificate else None}
                        for rec in records]}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        _print_json(doc)
-    else:
-        for rec in records:
-            mark = "ok " if rec.ok else "FAIL"
-            print(f"[{mark}] {rec.target} inside {rec.host}: {rec.claim}")
+    _emit(args, doc, "\n".join(
+        f"[{'ok ' if rec.ok else 'FAIL'}] {rec.target} inside {rec.host}: "
+        f"{rec.claim}" for rec in records))
     return 0 if ok else 1
 
 
@@ -429,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", choices=suite_names())
-    v.add_argument("--workers", type=int, default=None)
+    v.add_argument("--workers", type=int, default=1)
     v.add_argument("--json", action="store_true")
     v.add_argument("--runtimes", action="store_true")
     v.add_argument("--out")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -218,37 +218,48 @@ def minor_with_map(m: Matroid, contract: Iterable[int], delete: Iterable[int],
     """Minor m / contract \\ delete plus the kept-element map.
 
     Returns (N, keep) where N's element i corresponds to host element keep[i].
+    A minor of a represented matroid is its representation: when the host's
+    provenance yields a representation of the minor, N is that
+    representation's matroid and never reads the host's oracle. Otherwise N
+    ranks through the host, with a minor recipe as provenance (or none).
     """
     cmask = m.mask(contract)
     dmask = m.mask(delete)
     if cmask & dmask:
         raise DomainError("contract and delete sets overlap")
     keep = tuple(e for e in range(m.size) if not ((cmask | dmask) >> e) & 1)
-    rc = m.r(cmask)
-
-    def rank_mask(mask: int, _m=m, _keep=keep, _c=cmask, _rc=rc) -> int:
-        host = _c
-        for i in bits(mask):
-            host |= 1 << _keep[i]
-        return _m.r(host) - _rc
-
-    prov = _minor_provenance(m, elements_of(cmask), elements_of(dmask))
-    n = Matroid(len(keep), rank_mask, provenance=prov, name=name)
+    prov = m.provenance
+    minor_rep = getattr(prov, "minor_rep", None)
+    if minor_rep is not None:
+        rep = minor_rep(elements_of(cmask), elements_of(dmask))
+        if rep is not None:
+            return rep.matroid(name=name), keep
+    if prov is not None:
+        prov = Recipe("minor", args=(m,),
+                      params={"contract": elements_of(cmask),
+                              "delete": elements_of(dmask)})
+    n = Matroid(len(keep), _minor_oracle(m, cmask, keep), provenance=prov,
+                name=name)
     return n, keep
 
 
-def _minor_provenance(m: Matroid, contract: tuple[int, ...],
-                      delete: tuple[int, ...]):
-    prov = m.provenance
-    rep = None
-    if prov is not None and hasattr(prov, "minor_rep"):
-        rep = prov.minor_rep(contract, delete)
-    if rep is not None:
-        return rep
-    if prov is None:
-        return None
-    return Recipe("minor", args=(m,),
-                  params={"contract": contract, "delete": delete})
+def _minor_oracle(m: Matroid, cmask: int,
+                  images: Sequence[int]) -> Callable[[int], int]:
+    """Rank oracle of m / cmask on the elements images[0], images[1], ...
+
+    Element i of the result is host element images[i]; ranks are read from
+    the host's own oracle.
+    """
+    rc = m.r(cmask)
+    host_bit = [1 << h for h in images]
+
+    def rank_mask(mask: int) -> int:
+        host = cmask
+        for i in bits(mask):
+            host |= host_bit[i]
+        return m.r(host) - rc
+
+    return rank_mask
 
 
 def delete(m: Matroid, subset: Iterable[int]) -> Matroid:
@@ -340,7 +351,10 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     """Check a minor certificate by exhaustive rank agreement.
 
     Verifies the contract/delete/image partition of E(host) and that the
-    target's rank function matches the contracted host on every subset.
+    target's rank table equals the table of the contracted host, read
+    through the host's own oracle (never through a representation of the
+    minor). A bijection is the certificate with nothing contracted or
+    deleted.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -359,20 +373,9 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
             f"certificate validation is exhaustive; target has {target.size} "
             f"> {exhaustive_limit} elements"
         )
-    host_bit = [0] * target.size
-    for t, h in pairs.items():
-        host_bit[t] = 1 << h
-    rc = host.r(cmask)
-    for mask in range(1 << target.size):
-        hmask = cmask
-        mm = mask
-        while mm:
-            low = mm & -mm
-            hmask |= host_bit[low.bit_length() - 1]
-            mm ^= low
-        if host.r(hmask) - rc != target.r(mask):
-            return False
-    return True
+    images = [pairs[t] for t in range(target.size)]
+    minor = Matroid(target.size, _minor_oracle(host, cmask, images))
+    return np.array_equal(rank_table(minor), rank_table(target))
 
 
 # ---------------------------------------------------------------------------

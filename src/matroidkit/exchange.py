@@ -33,6 +33,9 @@ FORMAT_VERSION = 1
 
 _KINDS = ("linear", "graph", "even-cycle", "signed-graph", "recipe")
 
+# Recipe documents may nest their args at most this deep.
+MAX_NESTING = 100
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -123,7 +126,10 @@ def _edge_list(obj: dict, loc: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _build(obj, loc: str) -> Matroid:
+def _build(obj, loc: str, depth: int = 0) -> Matroid:
+    if depth > MAX_NESTING:
+        raise FormatError(f"recipe nested deeper than {MAX_NESTING} levels",
+                          location=loc)
     if not isinstance(obj, dict):
         raise FormatError("expected an object", location=loc)
     kind = _need(obj, "kind", str, loc)
@@ -152,11 +158,12 @@ def _build(obj, loc: str) -> Matroid:
     if kind in ("graph", "even-cycle", "signed-graph"):
         nv = _need(obj, "n_vertices", int, loc)
         edges = _edge_list(obj, loc)
+        if kind != "graph":
+            odd = frozenset(_int_list(obj.get("odd", []), f"{loc}.odd"))
         try:
             if kind == "graph":
                 rep = GraphRep(nv, tuple(edges))
             else:
-                odd = frozenset(_int_list(obj.get("odd", []), f"{loc}.odd"))
                 cls = EvenCycleRep if kind == "even-cycle" else SignedGraphRep
                 rep = cls(nv, tuple(edges), odd)
         except Exception as exc:
@@ -170,7 +177,8 @@ def _build(obj, loc: str) -> Matroid:
         if not isinstance(params, dict):
             raise FormatError("field 'params' has wrong type",
                               location=f"{loc}.params")
-        args = [_build(a, f"{loc}.args[{i}]") for i, a in enumerate(args_raw)]
+        args = [_build(a, f"{loc}.args[{i}]", depth + 1)
+                for i, a in enumerate(args_raw)]
         m = _apply_recipe(op, args, params, loc)
         m.name = name  # constructors attach default names; the document wins
         return m
@@ -238,6 +246,9 @@ def deserialize(text: str) -> Matroid:
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc.msg}",
                           location=f"line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise FormatError("document nested too deeply to parse",
+                          location="$") from exc
     if not isinstance(doc, dict):
         raise FormatError("document must be an object", location="$")
     if doc.get("format") != FORMAT_TAG:

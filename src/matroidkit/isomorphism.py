@@ -9,7 +9,7 @@ brute force doubles as the correctness oracle for small ground sets.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -96,21 +96,19 @@ def _constraint_order(target: Matroid) -> list[int]:
 
 
 def find_embedding(host: Matroid, target: Matroid,
-                   host_rank: Optional[Callable[[int], int]] = None,
                    candidates: Optional[list[list[int]]] = None
                    ) -> Optional[dict[int, int]]:
     """Injective map of E(target) into E(host) preserving ranks of all
     subsets of the image. Returns {target element: host element} or None.
 
-    host_rank may replace host.r (e.g. the rank function of a contraction
-    viewed inside the host). candidates[t] restricts images of element t.
+    candidates[t] restricts images of element t.
     """
     nt = target.size
     if nt > 20:
         raise ResourceLimitError("embedding search needs |E(target)| <= 20")
     if nt > host.size:
         return None
-    hr = host_rank if host_rank is not None else host.r
+    hr = host.r
     t_table = rank_table(target)
     order = _constraint_order(target)
     if candidates is None:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bits import bits, elements_of, mask_of, popcount
+from ._bits import bits, elements_of, find, mask_of, popcount
 from .core import (
     Matroid,
     MinorCertificate,
@@ -251,11 +251,6 @@ def _place_tree(basis, rest, forced, r):
     """
     n_b = len(basis)
 
-    def root(x, comp):
-        while comp[x] != x:
-            x = comp[x]
-        return x
-
     def search(i, comp, used, placed):
         if i == n_b:
             return _force_rest(rest, forced, placed)
@@ -265,7 +260,7 @@ def _place_tree(basis, rest, forced, r):
         if used + 1 < r + 1:
             options.append((used, used + 1))
         for a, b in options:
-            ra, rb = root(a, comp), root(b, comp)
+            ra, rb = find(comp, a), find(comp, b)
             if ra == rb:
                 continue  # basis edges must keep the graph a forest
             comp2 = list(comp)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from ._bits import bits, elements_of
+from ._bits import bits, elements_of, find, union
 from .constructions import fano, free_ext_clique, square_ext, triangle_ext
 from .core import Matroid, MinorCertificate, minor_with_map, validate_certificate
 from .errors import DomainError, PreconditionError, ReductionDidNotClose
@@ -198,23 +198,14 @@ def _set_partitions(k: int):
 def _components(fmask: int, pairs: _Pairs) -> list[list[int]]:
     """Vertex sets of the flat's components, each sorted, by least vertex."""
     par: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while par[v] != v:
-            par[v] = par[par[v]]
-            v = par[v]
-        return v
-
     for x in elements_of(fmask):
         u, v = pairs[x]
         par.setdefault(u, u)
         par.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            par[ru] = rv
+        union(par, u, v)
     groups: dict[int, list[int]] = {}
     for v in par:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(find(par, v), []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
@@ -376,22 +367,12 @@ def _child(cur: Matroid, e: int, keep: tuple[int, ...], c_acc: frozenset,
 def _tree_edges(comp: list[int], fmask: int, pairs: _Pairs) -> list[int]:
     """Lex-least spanning tree of one component, as host elements."""
     par = {v: v for v in comp}
-
-    def find(v: int) -> int:
-        while par[v] != v:
-            par[v] = par[par[v]]
-            v = par[v]
-        return v
-
     cs = set(comp)
     out = []
     for x in sorted(elements_of(fmask)):
         u, v = pairs[x]
-        if u in cs and v in cs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                par[ru] = rv
-                out.append(x)
+        if u in cs and v in cs and union(par, u, v):
+            out.append(x)
     return out
 
 
@@ -432,20 +413,12 @@ def _free_leaf(e: int, comp: list[int], comps: list[list[int]], fmask: int,
             cset.extend(_tree_edges(other, fmask, pairs))
     # groups: vertices of the component merged along the contracted tree
     par = {v: v for v in comp}
-
-    def find(v: int) -> int:
-        while par[v] != v:
-            par[v] = par[par[v]]
-            v = par[v]
-        return v
-
     for x in contracted:
-        u, v = pairs[x]
-        par[find(u)] = find(v)
+        union(par, *pairs[x])
     roots: dict[int, int] = {}
     for v in sorted(comp):
-        roots.setdefault(find(v), len(roots))
-    gid = {v: roots[find(v)] for v in comp}
+        roots.setdefault(find(par, v), len(roots))
+    gid = {v: roots[find(par, v)] for v in comp}
     cs = set(comp)
     reps: dict[tuple[int, int], int] = {}
     for x in sorted(elements_of(fmask)):

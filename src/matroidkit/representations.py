@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import bits
+from ._bits import bits, find, union
 from .core import Matroid
 from .errors import DomainError, GroundSetError
 
@@ -171,19 +171,10 @@ class GraphRep:
 
         def rank_mask(mask: int) -> int:
             parent = list(range(nv))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             r = 0
             for e in bits(mask):
                 u, v = edges[e]
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
+                if union(parent, u, v):
                     r += 1
             return r
 
@@ -193,23 +184,13 @@ class GraphRep:
                   ) -> "GraphRep":
         """Graph of the minor: merge endpoints of contracted edges."""
         parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for c in contract:
-            u, v = self.edges[c]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        roots = sorted({find(x) for x in range(self.n_vertices)})
+            union(parent, *self.edges[c])
+        roots = sorted({find(parent, x) for x in range(self.n_vertices)})
         rename = {root: i for i, root in enumerate(roots)}
         gone = set(contract) | set(delete)
         new_edges = tuple(
-            (rename[find(u)], rename[find(v)])
+            (rename[find(parent, u)], rename[find(parent, v)])
             for i, (u, v) in enumerate(self.edges)
             if i not in gone
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import platform
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +42,7 @@ from .constructions import (
 )
 from .core import (
     Matroid,
+    MinorCertificate,
     direct_sum,
     epsilon,
     kung_bound_check,
@@ -151,18 +151,16 @@ def _fingerprint() -> dict:
             "python": platform.python_version()}
 
 
-def run_suite(name: str, workers: Optional[int] = None) -> SuiteReport:
+def run_suite(name: str, workers: int = 1) -> SuiteReport:
     """Run one named suite; records come back sorted by claim id.
 
-    ``workers`` defaults to the MATROIDKIT_WORKERS environment variable
-    (1 when unset). Reports are identical for any worker count.
+    ``workers`` (default 1) runs checks on that many threads. Reports are
+    identical for any worker count.
     """
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
     checks = SUITES[name]()
-    if workers is None:
-        workers = int(os.environ.get("MATROIDKIT_WORKERS", "1") or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_check, checks))
@@ -195,27 +193,24 @@ class GrowthRow:
     match: bool
 
 
+def _circle_points(n: int) -> tuple[int, bool]:
+    """Points of the truncated clique, and whether truncation kept it simple."""
+    t = truncation(clique(n + 2))
+    pts = epsilon(t)
+    return pts, pts == t.size
+
+
 # family -> (points fn, closed form fn, formula text, default n range)
 _GROWTH_FAMILIES = {
     "square": (lambda n: (epsilon(n_square(n)), True),
                lambda n: comb(n + 2, 2) - 3, "C(n+2,2)-3", (2, 6)),
     "triangle": (lambda n: (epsilon(n_triangle(n)), True),
                  lambda n: comb(n + 2, 2) - 2, "C(n+2,2)-2", (2, 6)),
-    "circle": (None,  # patched below; truncation must also stay simple
+    "circle": (_circle_points,
                lambda n: comb(n + 2, 2), "C(n+2,2)", (2, 5)),
     "graphic": (lambda n: (epsilon(clique(n + 1)), True),
                 lambda n: comb(n + 1, 2), "C(n+1,2)", (2, 6)),
 }
-
-
-def _circle_points(n: int) -> tuple[int, bool]:
-    t = truncation(clique(n + 2))
-    pts = epsilon(t)
-    return pts, pts == t.size
-
-
-_GROWTH_FAMILIES["circle"] = (
-    _circle_points,) + _GROWTH_FAMILIES["circle"][1:]
 
 
 def growth_table(family: str, n_lo: Optional[int] = None,
@@ -261,28 +256,15 @@ def _growth_thunk(family: str, n: int):
 # isomorphisms
 
 
-def _exhaustive_bijection(a: Matroid, b: Matroid, phi: dict[int, int]) -> bool:
-    """Rank agreement under phi on every subset (sizes <= 12 here)."""
-    images = [1 << phi[e] for e in range(a.size)]
-    for mask in range(1 << a.size):
-        img = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            img |= images[low.bit_length() - 1]
-            mm ^= low
-        if a.r(mask) != b.r(img):
-            return False
-    return True
-
-
 def _iso_thunk(build_a, build_b):
     def thunk():
         a, b = build_a(), build_b()
         phi = is_isomorphic(a, b)
         if phi is None:
             return "isomorphic", "no isomorphism found", False
-        if not _exhaustive_bijection(a, b, phi):
+        bijection = MinorCertificate(frozenset(), frozenset(),
+                                     tuple(phi.items()))
+        if not validate_certificate(bijection, b, a):
             return "isomorphic", "bijection failed subset revalidation", False
         return "isomorphic", "isomorphic (bijection checked on all subsets)", True
     return thunk
@@ -619,7 +601,9 @@ def _spike_biclique_thunk(r: int):
         lam = truncation(biclique(2, r))
         phi = is_isomorphic(tipless, lam)
         ok = (decomp is not None and phi is not None
-              and _exhaustive_bijection(tipless, lam, phi))
+              and validate_certificate(
+                  MinorCertificate(frozenset(), frozenset(),
+                                   tuple(phi.items())), lam, tipless))
         computed = {"spike": decomp is not None,
                     "tipless-is-truncated-biclique": phi is not None}
         return {"spike": True, "tipless-is-truncated-biclique": True}, \

@@ -215,16 +215,14 @@ def tangle_matroid(t: Tangle, validate: Optional[bool] = None) -> Matroid:
 # induced tangles
 
 
-def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle,
-                   check_certificate: bool = True) -> Tangle:
+def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     """Lift a tangle on a minor N to the host: members are the sets X with
     lambda_M(X) < theta-1 whose trace X meet E(N) is small in the minor.
 
-    The certificate ties N's elements to host elements; it is re-validated
-    unless check_certificate is False.
+    The certificate ties N's elements to host elements; it is re-validated.
     """
     target = t_n.matroid
-    if check_certificate and not cert.validate(m, target):
+    if not cert.validate(m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
     n = m.size

@@ -135,3 +135,33 @@ def _image(mask: int, perm, n: int) -> int:
         if (mask >> i) & 1:
             img |= 1 << perm[i]
     return img
+
+
+def certificate_walk(cert, host, target) -> bool:
+    """Minor certificate check subset by subset through host.r and target.r.
+
+    contract, delete and the mapping's image must partition E(host), the
+    mapping must be a bijection onto the image, and for every target subset
+    X: r_host(C + image(X)) - r_host(C) == r_target(X).
+    """
+    contract, delete = set(cert.contract), set(cert.delete)
+    pairs = dict(cert.mapping)
+    if sorted(pairs) != list(range(target.size)):
+        return False
+    image = set(pairs.values())
+    if len(image) != target.size:
+        return False
+    if contract & delete or contract & image or delete & image:
+        return False
+    if contract | delete | image != set(range(host.size)):
+        return False
+    cm = sum(1 << c for c in contract)
+    base = host.r(cm)
+    for mask in range(1 << target.size):
+        hm = cm
+        for t, h in pairs.items():
+            if (mask >> t) & 1:
+                hm |= 1 << h
+        if host.r(hm) - base != target.r(mask):
+            return False
+    return True

@@ -14,7 +14,7 @@ from matroidkit.constructions import (
 )
 from matroidkit.core import same_rank_function
 from matroidkit.errors import FormatError, SerializationError
-from matroidkit.exchange import deserialize, dump, load, serialize
+from matroidkit.exchange import MAX_NESTING, deserialize, dump, load, serialize
 
 
 ROUND_TRIP = [
@@ -89,6 +89,36 @@ def test_negative_vertex_count_is_a_format_error(kind):
     doc = {"format": "matroid-exchange", "version": 1, "kind": kind,
            "n_vertices": -1, "edges": []}
     assert _loc(json.dumps(doc)) == "$"
+
+
+@pytest.mark.parametrize("kind", ["even-cycle", "signed-graph"])
+def test_bad_odd_field_reports_its_location_once(kind):
+    doc = {"format": "matroid-exchange", "version": 1, "kind": kind,
+           "n_vertices": 2, "edges": [[0, 1]], "odd": 3}
+    with pytest.raises(FormatError) as err:
+        deserialize(json.dumps(doc))
+    assert err.value.location == "$.odd"
+    assert str(err.value) == "expected a list of integers (at $.odd)"
+
+
+def _nested_duals(depth):
+    """A recipe document with `depth` dual recipes around a one-edge graph,
+    built as text: json.dumps itself recurses too deeply at large depths."""
+    inner = '{"kind": "graph", "n_vertices": 2, "edges": [[0, 1]]}'
+    head = '{"kind": "recipe", "op": "dual", "args": ['
+    text = head * depth + inner + "]}" * depth
+    return ('{"format": "matroid-exchange", "version": 1, '
+            + text[1:])
+
+
+def test_nesting_depth_is_bounded():
+    rank = deserialize(_nested_duals(MAX_NESTING)).full_rank()
+    assert rank == 1 - MAX_NESTING % 2  # an even number of duals
+    with pytest.raises(FormatError) as err:
+        deserialize(_nested_duals(MAX_NESTING + 1))
+    assert err.value.location == "$" + ".args[0]" * (MAX_NESTING + 1)
+    # deeper than the JSON parser can follow
+    assert _loc(_nested_duals(900)) == "$"
 
 
 def test_recipe_error_locations():

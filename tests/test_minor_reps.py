@@ -1,0 +1,179 @@
+"""Differential tests: minors of represented matroids and certificate checks.
+
+A minor of a represented matroid is the matroid of the minor's
+representation; its ranks must equal the contracted host's, read through
+the host's own oracle, and building it must not touch that oracle.
+validate_certificate compares two rank tables; the subset walk in
+oracles.certificate_walk is the reference it must agree with.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from matroidkit.core import (
+    Matroid,
+    MinorCertificate,
+    Recipe,
+    minor_with_map,
+    validate_certificate,
+)
+from matroidkit.representations import (
+    EvenCycleRep,
+    GraphRep,
+    LinearRep,
+    SignedGraphRep,
+)
+
+from oracles import certificate_walk
+
+
+@st.composite
+def linear_reps(draw, max_rows=4, max_cols=8):
+    """Zero columns (loops) and repeated columns both occur."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nr = draw(st.integers(0, max_rows))
+    col = st.tuples(*[st.integers(0, p - 1)] * nr)
+    cols = draw(st.lists(st.one_of(col, st.just((0,) * nr)),
+                         min_size=1, max_size=max_cols))
+    return LinearRep(p, nr, tuple(cols))
+
+
+@st.composite
+def graph_reps(draw, max_vertices=5, max_edges=8):
+    """Multigraphs: loops and parallel edges both occur."""
+    nv = draw(st.integers(1, max_vertices))
+    edge = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    return GraphRep(nv, tuple(draw(st.lists(edge, min_size=1,
+                                            max_size=max_edges))))
+
+
+@st.composite
+def decorated_reps(draw):
+    g = draw(graph_reps())
+    odd = draw(st.sets(st.integers(0, len(g.edges) - 1)))
+    cls = draw(st.sampled_from((EvenCycleRep, SignedGraphRep)))
+    return cls(g.n_vertices, g.edges, frozenset(odd))
+
+
+@st.composite
+def splits(draw, n):
+    """Disjoint (contract, delete) element tuples of range(n); the contract
+    set may be dependent and may hold loops."""
+    roles = draw(st.lists(st.sampled_from("ckd"), min_size=n, max_size=n))
+    return (tuple(e for e in range(n) if roles[e] == "c"),
+            tuple(e for e in range(n) if roles[e] == "d"))
+
+
+def _size(rep):
+    return len(rep.columns if isinstance(rep, LinearRep) else rep.edges)
+
+
+def with_split(reps):
+    return reps.flatmap(lambda rep: st.tuples(st.just(rep),
+                                              splits(_size(rep))))
+
+
+def _contracted_rank(host, cmask, keep, mask):
+    image = cmask
+    for i, h in enumerate(keep):
+        if (mask >> i) & 1:
+            image |= 1 << h
+    return host.r(image) - host.r(cmask)
+
+
+def _check_minor(host, contract, delete):
+    """The minor's ranks against the host oracle; returns the minor."""
+    minor, keep = minor_with_map(host, contract, delete)
+    ranks = [minor.r(mask) for mask in range(1 << minor.size)]
+    cmask = sum(1 << c for c in contract)
+    assert ranks == [_contracted_rank(host, cmask, keep, mask)
+                     for mask in range(1 << minor.size)]
+    return minor
+
+
+@settings(max_examples=120, deadline=None)
+@given(with_split(st.one_of(linear_reps(), graph_reps())))
+def test_minor_of_linear_or_graph_rep_is_its_representation(case):
+    rep, (contract, delete) = case
+    host = rep.matroid()
+    minor, _ = minor_with_map(host, contract, delete)
+    assert type(minor.provenance) is type(rep)
+    for mask in range(1 << minor.size):
+        minor.r(mask)
+    assert len(host._cache) == 0  # the minor never asked the host
+    _check_minor(host, contract, delete)
+
+
+@settings(max_examples=80, deadline=None)
+@given(with_split(decorated_reps()))
+def test_decorated_graph_minors(case):
+    rep, (contract, delete) = case
+    host = rep.matroid()
+    minor = _check_minor(host, contract, delete)
+    if contract:  # contraction leaves the class: a recipe over the host
+        assert isinstance(minor.provenance, Recipe)
+    else:
+        assert type(minor.provenance) is type(rep)
+        fresh = rep.matroid()
+        deleted, _ = minor_with_map(fresh, (), delete)
+        for mask in range(1 << deleted.size):
+            deleted.r(mask)
+        assert len(fresh._cache) == 0
+
+
+def _perturb(cert, rng):
+    """A certificate that is usually, but not always, wrong."""
+    mapping = list(cert.mapping)
+    contract, delete = set(cert.contract), set(cert.delete)
+    how = rng.randrange(5)
+    if how == 0 and len(mapping) >= 2:
+        i, j = rng.sample(range(len(mapping)), 2)
+        (ti, hi), (tj, hj) = mapping[i], mapping[j]
+        mapping[i], mapping[j] = (ti, hj), (tj, hi)
+    elif how == 1 and contract:
+        e = rng.choice(sorted(contract))
+        contract.remove(e)
+        delete.add(e)
+    elif how == 2 and delete:
+        e = rng.choice(sorted(delete))
+        delete.remove(e)
+        contract.add(e)
+    elif how == 3 and mapping:
+        mapping.pop(rng.randrange(len(mapping)))
+    elif how == 4 and mapping and (contract or delete):
+        e = rng.choice(sorted(contract | delete))
+        mapping[0] = (mapping[0][0], e)
+    return MinorCertificate(frozenset(contract), frozenset(delete),
+                            tuple(mapping))
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_split(st.one_of(linear_reps(), graph_reps(), decorated_reps())),
+       st.integers(0, 2 ** 32))
+def test_validate_certificate_agrees_with_subset_walk(case, seed):
+    rep, (contract, delete) = case
+    rng = random.Random(seed)
+    host = rep.matroid()
+    target, keep = minor_with_map(host, contract, delete)
+    cert = MinorCertificate(frozenset(contract), frozenset(delete),
+                            tuple(enumerate(keep)))
+    assert validate_certificate(cert, host, target)
+    assert certificate_walk(cert, host, target)
+    for _ in range(4):
+        bad = _perturb(cert, rng)
+        assert validate_certificate(bad, host, target) == \
+            certificate_walk(bad, host, target)
+
+
+def test_validation_reads_the_hosts_own_oracle():
+    # The provenance claims a triangle; the oracle is the rank-1 uniform
+    # matroid. A certificate that holds for the claimed representation must
+    # fail against the oracle.
+    triangle = GraphRep(3, ((0, 1), (1, 2), (0, 2)))
+    liar = Matroid(3, lambda mask: min(mask, 1), provenance=triangle)
+    target, keep = minor_with_map(liar, (), ())
+    cert = MinorCertificate(frozenset(), frozenset(), tuple(enumerate(keep)))
+    assert validate_certificate(cert, triangle.matroid(), target)
+    assert not validate_certificate(cert, liar, target)
+    assert not certificate_walk(cert, liar, target)

@@ -126,6 +126,27 @@ def test_cli_query_negative_vertex_count(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_query_deeply_nested_recipe(tmp_path, capsys):
+    inner = '{"kind": "graph", "n_vertices": 2, "edges": [[0, 1]]}'
+    head = '{"kind": "recipe", "op": "dual", "args": ['
+    doc = head * 900 + inner + "]}" * 900
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "matroid-exchange", "version": 1, ' + doc[1:])
+    assert main(["query", "rank", "--matroid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_query_bad_odd_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "even-cycle", "n_vertices": 2,
+                                "edges": [[0, 1]], "odd": 3}))
+    assert main(["query", "rank", "--matroid", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: expected a list of integers (at $.odd)\n"
+
+
 def test_cli_query_resource_cap(tmp_path, capsys):
     path = tmp_path / "k8.json"
     dump(clique(8), str(path))
@@ -211,6 +232,42 @@ def test_cli_reduce_extension_document(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["closed"] is False
     assert doc["transcript"]
+
+
+def _write(tmp_path, name, m):
+    path = tmp_path / name
+    dump(m, str(path))
+    return str(path)
+
+
+EMITTING_COMMANDS = {
+    "minor-test": lambda d: [
+        "minor-test", "--host", _write(d, "h.json", triangle_ext(4)),
+        "--target", _write(d, "t.json", clique(4))],
+    "graphic-test": lambda d: ["graphic-test", "--matroid",
+                               _write(d, "m.json", clique(4))],
+    "classify-extension": lambda d: [
+        "classify-extension", "--matroid", _write(d, "m.json", triangle_ext(4)),
+        "--element", str(triangle_ext(4).size - 1)],
+    "reduce-extension-closed": lambda d: [
+        "reduce-extension", "--matroid", _write(d, "m.json", triangle_ext(6)),
+        "--element", str(triangle_ext(6).size - 1), "--m", "4"],
+    "reduce-extension-open": lambda d: [
+        "reduce-extension", "--matroid", _write(d, "m.json", triangle_ext(5)),
+        "--element", str(triangle_ext(5).size - 1), "--m", "6"],
+    "membership-suite": lambda d: ["membership-suite", "triangle"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMITTING_COMMANDS))
+def test_cli_out_file_equals_json_stdout(command, tmp_path, capsys):
+    argv = EMITTING_COMMANDS[command](tmp_path)
+    out = tmp_path / "out.json"
+    rc_file = main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    rc_json = main(argv + ["--json"])
+    assert rc_file == rc_json
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_cli_membership_suite(capsys):
