@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
@@ -26,6 +28,16 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def popcount_table(n: int) -> np.ndarray:
+    """Popcount of every n-bit mask: uint8 array of length 2^n, indexed by
+    mask and filled in place by doubling."""
+    pc = np.empty(1 << n, dtype=np.uint8)
+    pc[0] = 0
+    for i in range(n):
+        np.add(pc[:1 << i], 1, out=pc[1 << i:2 << i])
+    return pc
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -83,14 +83,17 @@ def _kappa_masks(m: Matroid, x: int, y: int) -> tuple[int, int]:
     rm = m.full_rank()
 
     if f > 16 and m.size <= TABLE_CAP:
-        table = rank_table(m).astype(np.int32)
-        s = np.arange(1 << f, dtype=np.int64)
-        z = np.full(1 << f, x, dtype=np.int64)
+        table = rank_table(m)
+        z = np.empty(1 << f, dtype=np.int32)  # z[s] = x | spread(s), ascending
+        z[0] = x
         for i, pos in enumerate(positions):
-            z |= ((s >> i) & 1) << pos
-        lam = table[z] + table[full ^ z] - rm
-        i = int(np.argmin(lam))  # z ascends with s, so argmin is least mask
-        return int(lam[i]), int(z[i])
+            np.bitwise_or(z[:1 << i], 1 << pos, out=z[1 << i:2 << i])
+        lam = table[z].astype(np.int16)
+        z ^= full  # the complements, in place
+        lam += table[z]
+        lam -= rm
+        i = int(np.argmin(lam))  # z ascended, so argmin is the least mask
+        return int(lam[i]), int(z[i]) ^ full
 
     best = rm + 1
     best_z = x

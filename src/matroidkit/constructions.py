@@ -72,9 +72,7 @@ def whirl(r: int) -> Matroid:
     """
     if r < 2:
         raise DomainError("whirl needs r >= 2")
-    hub_edges = [(0, i + 1) for i in range(r)]
-    rim_edges = [(i + 1, (i + 1) % r + 1) for i in range(r)]
-    wheel = from_graph(r + 1, hub_edges + rim_edges)
+    wheel = _wheel(r).matroid()
     rim_mask = ((1 << r) - 1) << r
 
     def rank_mask(mask: int) -> int:
@@ -82,6 +80,13 @@ def whirl(r: int) -> Matroid:
 
     return Matroid(2 * r, rank_mask, provenance=Recipe("whirl", params={"r": r}),
                    name=f"whirl({r})")
+
+
+def _wheel(r: int) -> GraphRep:
+    """Rank-r wheel: spokes 0..r-1 from the hub 0, then the rim r..2r-1."""
+    hub_edges = [(0, i + 1) for i in range(r)]
+    rim_edges = [(i + 1, (i + 1) % r + 1) for i in range(r)]
+    return GraphRep(r + 1, tuple(hub_edges + rim_edges))
 
 
 def pg32() -> Matroid:

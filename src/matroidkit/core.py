@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import bits, elements_of, mask_of, popcount
+from ._bits import bits, elements_of, mask_of, popcount, popcount_table
 from .errors import (
     DomainError,
     GroundSetError,
@@ -29,6 +29,11 @@ _CACHE_LIMIT = 1 << 20
 
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
 TABLE_CAP = 22
+
+# Scratch bytes one rank-table builder may allocate. A builder whose
+# workspace would exceed it returns None before allocating, and rank_table
+# walks the oracle instead.
+TABLE_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,70 @@ class Recipe:
     op: str
     args: tuple = ()
     params: dict = field(default_factory=dict)
+
+    def rank_table_fast(self) -> Optional[np.ndarray]:
+        """Rank table of the recipe's matroid by array transforms of its
+        operands' tables.
+
+        An operand's table is used only when it is cached or its own
+        provenance builds it; otherwise, or over TABLE_BUDGET, this returns
+        None, so no operand's oracle is ever walked.
+        """
+        op, params, args = self.op, self.params, self.args
+        if op == "uniform":
+            n = params["n"]
+        elif op == "whirl":
+            n = 2 * params["r"]
+        elif op == "minor":
+            n = args[0].size - len(params["contract"]) - len(params["delete"])
+        else:
+            n = sum(a.size for a in args)
+            n += op in ("free-extension", "principal-extension")
+        # an int32 index, the uint8 result and one uint8 temporary per subset
+        if 6 << n > TABLE_BUDGET:
+            return None
+        tables = [_built_table(a) for a in args]
+        if any(t is None for t in tables):
+            return None
+        if op == "uniform":
+            return np.minimum(popcount_table(n), params["r"])
+        if op == "whirl":
+            from .constructions import _wheel
+
+            r = params["r"]
+            out = _wheel(r).rank_table_fast()
+            if out is not None:
+                out[((1 << r) - 1) << r] += 1  # the rim is independent
+            return out
+        if op == "direct-sum":
+            return np.add.outer(tables[1], tables[0]).ravel()
+        t = tables[0]
+        r = int(t[-1])
+        if op == "dual":
+            out = popcount_table(n)
+            out += t[::-1]
+            out -= r
+            return out
+        if op == "truncation":
+            return np.minimum(t, r - 1)
+        if op == "free-extension":
+            return np.concatenate([t, np.minimum(t + 1, r)])
+        if op == "principal-extension":
+            idx = np.arange(len(t), dtype=np.int32)
+            idx |= mask_of(params["flat"])
+            return np.concatenate([t, np.minimum(t + 1, t[idx])])
+        if op == "minor":
+            cmask = mask_of(params["contract"])
+            gone = cmask | mask_of(params["delete"])
+            keep = [e for e in range(args[0].size) if not (gone >> e) & 1]
+            idx = np.empty(1 << n, dtype=np.int32)  # C | spread(x), by doubling
+            idx[0] = cmask
+            for i, h in enumerate(keep):
+                np.bitwise_or(idx[:1 << i], 1 << h, out=idx[1 << i:2 << i])
+            out = t[idx]
+            out -= t[cmask]
+            return out
+        return None
 
 
 class Matroid:
@@ -396,25 +465,37 @@ def rank_table(m: Matroid, cap: int = TABLE_CAP) -> np.ndarray:
 
     The table is built at most once per matroid, cached on it and returned
     read-only, so it costs 2^n bytes for as long as the matroid lives.
-    Graph-backed matroids build it by a doubling DP over the edges;
-    anything else walks the oracle.
+    Every provenance kind builds it with a few numpy passes: graphs,
+    GF(p) matrices and decorated graphs by a doubling DP over the
+    elements, recipes by array transforms of their operands' tables.
+    A matroid with no provenance, a recipe over one, or a builder whose
+    workspace would exceed TABLE_BUDGET bytes walks the oracle once per
+    subset instead.
     """
     n = m.size
     if n > cap or n > TABLE_CAP:
         raise ResourceLimitError(
             f"rank table needs |E| <= {min(cap, TABLE_CAP)}, got {n}"
         )
-    table = m._table
+    table = _built_table(m)
     if table is None:
-        fast = getattr(m.provenance, "rank_table_fast", None)
-        if fast is not None:
-            table = fast()
-        if table is None:
-            table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
-                                1 << n)
+        table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
+                            1 << n)
         table.setflags(write=False)
         m._table = table
     return table
+
+
+def _built_table(m: Matroid) -> Optional[np.ndarray]:
+    """m's cached rank table, else the one its provenance builds without
+    walking an oracle (then cached on m), else None."""
+    if m._table is None and m.size <= TABLE_CAP:
+        fast = getattr(m.provenance, "rank_table_fast", None)
+        table = fast() if fast is not None else None
+        if table is not None:
+            table.setflags(write=False)
+            m._table = table
+    return m._table
 
 
 def validate_rank_axioms(m: Matroid, cap: int = 14) -> None:

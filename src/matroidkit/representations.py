@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._bits import bits, find, union
-from .core import Matroid
+from .core import TABLE_BUDGET, Matroid
 from .errors import DomainError, GroundSetError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -22,6 +22,10 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 def _inverses(p: int) -> list[int]:
     return [0] + [pow(a, p - 2, p) for a in range(1, p)]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +43,13 @@ class LinearRep:
     def __post_init__(self):
         if self.prime not in SUPPORTED_PRIMES:
             raise DomainError(f"prime must be one of {SUPPORTED_PRIMES}")
+        if not _is_int(self.n_rows) or self.n_rows < 0:
+            raise DomainError("n_rows must be a non-negative integer")
         for col in self.columns:
             if len(col) != self.n_rows:
                 raise DomainError("ragged matrix")
-            if any(not (0 <= x < self.prime) for x in col):
-                raise DomainError("entries must be reduced mod p")
+            if any(not (_is_int(x) and 0 <= x < self.prime) for x in col):
+                raise DomainError("entries must be integers reduced mod p")
 
     def matroid(self, name: str = "") -> Matroid:
         if self.prime == 2:
@@ -90,6 +96,60 @@ class LinearRep:
                 return r
 
         return Matroid(len(self.columns), rank_mask, provenance=self, name=name)
+
+    def rank_table_fast(self) -> Optional[np.ndarray]:
+        """Rank of every column subset by doubling over the columns.
+
+        Before step i, row x of the state holds columns i..m-1 reduced
+        modulo span(x), x a subset of columns 0..i-1, each as the coset
+        representative that is zero at every pivot. Step i reads w, column
+        i reduced: subsets with i gain rank where w != 0, and their rows
+        are the remaining columns reduced by w, pivoting at w's lowest set
+        bit over GF(2) (columns packed into one unsigned int) and at its
+        first nonzero entry over GF(p) (columns as uint8 vectors).
+        """
+        m = len(self.columns)
+        p, nr = self.prime, self.n_rows
+        packed = p == 2 and nr <= 64
+        if packed:
+            dtype = np.min_scalar_type((1 << nr) - 1)
+            col_bytes = dtype.itemsize
+        else:
+            col_bytes = max(nr, 1)
+        # the rank table, plus the old state, the new one and one temporary
+        if (1 << m) * (1 + 3 * col_bytes) > TABLE_BUDGET:
+            return None
+        rank = np.zeros(1 << m, dtype=np.uint8)
+        if packed:
+            state = np.array([sum(x << j for j, x in enumerate(col))
+                              for col in self.columns], dtype=dtype)[:, None]
+        else:
+            state = np.zeros((m, 1, col_bytes), dtype=np.uint8)
+            state[:, 0, :nr] = np.reshape(self.columns, (m, nr))
+            inv = np.array(_inverses(p), dtype=np.uint8)
+        for i in range(m):
+            half = 1 << i
+            w = state[0]
+            live = w != 0 if packed else (w != 0).any(axis=1)
+            np.add(rank[:half], live, out=rank[half:2 * half])
+            if i + 1 == m:
+                break
+            rest = state[1:]
+            state = np.empty((m - i - 1, 2 * half) + rest.shape[2:], rest.dtype)
+            state[:, :half] = rest
+            hi = state[:, half:]
+            if packed:
+                hi[...] = rest
+                np.bitwise_xor(hi, w, out=hi, where=(rest & (w & -w)) != 0)
+            else:
+                piv = (w != 0).argmax(axis=1)
+                cols = np.arange(half)
+                # c = rest[piv] / w[piv]; hi = rest - c * w = rest + (p - c) * w
+                c = rest[:, cols, piv] * inv[w[cols, piv]] % p
+                np.multiply((p - c)[:, :, None], w, out=hi)
+                hi += rest
+                hi %= p
+        return rank
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]
                   ) -> "LinearRep":
@@ -206,10 +266,12 @@ class GraphRep:
         """
         m = len(self.edges)
         nv = self.n_vertices
-        if m > 22 or nv > 120:
+        label = np.min_scalar_type(max(nv - 1, 0))
+        # rank table, plus half a table of labels and of comparison flags
+        if (1 << m) * (1 + nv * (label.itemsize + 1) // 2) > TABLE_BUDGET:
             return None
         rank = np.zeros(1 << m, dtype=np.uint8)
-        comp = np.empty((max((1 << m) // 2, 1), nv), dtype=np.int8)
+        comp = np.empty((max((1 << m) // 2, 1), nv), dtype=label)
         comp[0] = np.arange(nv)
         for i, (u, v) in enumerate(self.edges):
             half = 1 << i
@@ -271,6 +333,9 @@ class EvenCycleRep:
         return Matroid(len(self.edges), inner._rank_mask, provenance=self,
                        name=name)
 
+    def rank_table_fast(self) -> Optional[np.ndarray]:
+        return self.to_linear().rank_table_fast()
+
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
         if contract:
             return None  # contractions leave the class; fall back to a recipe
@@ -315,6 +380,9 @@ class SignedGraphRep:
         inner = self.to_linear().matroid()
         return Matroid(len(self.edges), inner._rank_mask, provenance=self,
                        name=name)
+
+    def rank_table_fast(self) -> Optional[np.ndarray]:
+        return self.to_linear().rank_table_fast()
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
         if contract:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import bits, elements_of, popcount, submasks
+from ._bits import bits, elements_of, popcount, popcount_table, submasks
 from .core import (
     Matroid,
     MinorCertificate,
@@ -59,13 +59,6 @@ class Tangle:
     def __repr__(self):
         return (f"<Tangle order={self.theta} on n={self.matroid.size}, "
                 f"{len(self.maximal)} maximal members>")
-
-
-def _popcount_table(n: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
 
 
 def _lambda_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +150,7 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
         raise ResourceLimitError(f"tangle sweep needs |E| <= {TABLE_CAP}")
     lam, ranks = _lambda_table(m)
     rm = int(m.full_rank())
-    pc = _popcount_table(n).astype(np.int16)
+    pc = popcount_table(n).astype(np.int16)
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
     dependent_rest = pc[::-1] > ranks[::-1]
     in_t = (lam < k - 1) & (ranks < rm) & dependent_rest

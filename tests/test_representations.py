@@ -11,6 +11,7 @@ from matroidkit.errors import DomainError, GroundSetError
 from matroidkit.representations import (
     EvenCycleRep,
     GraphRep,
+    LinearRep,
     SignedGraphRep,
     from_graph,
     from_matrix,
@@ -81,6 +82,21 @@ def test_from_matrix_rank_agrees_with_elimination():
 def test_from_matrix_rejects_bad_prime():
     with pytest.raises(DomainError):
         from_matrix([[1, 0]], 4)
+
+
+@pytest.mark.parametrize("n_rows, columns", [
+    (-1, ()),                      # negative row count
+    (1.0, ((1,),)),                # row count not an int
+    (True, ((1,),)),               # nor a bool
+    (2, ((1, 0), (0.0, 1))),       # float entry
+    (2, ((1, 0), (True, 1))),      # bool entry
+    (2, ((1, 0), (0, 2))),         # not reduced mod 2
+    (2, ((1, 0), (0, -1))),
+    (2, ((1, 0), (1,))),           # ragged
+])
+def test_linear_rep_rejects_malformed_fields(n_rows, columns):
+    with pytest.raises(DomainError):
+        LinearRep(2, n_rows, columns)
 
 
 def test_from_graph_rank_is_spanning_forest_size():

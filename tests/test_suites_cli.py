@@ -137,6 +137,20 @@ def test_cli_query_deeply_nested_recipe(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows, where", [
+    ([[1, 0], [0, 2]], "(at $)"),        # entry not reduced mod p
+    ([[1, 0], [0, 1.0]], "(at $.rows[1])"),  # entry not an integer
+])
+def test_cli_query_bad_linear_entry(tmp_path, capsys, rows, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "linear", "prime": 2,
+                                "n_columns": 2, "rows": rows}))
+    assert main(["query", "rank", "--matroid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(where + "\n")
+
+
 def test_cli_query_bad_odd_field(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,

@@ -1,19 +1,41 @@
 """Differential tests: the cached rank-table paths against plain oracles.
 
-Each fast path (the doubling DP for graph tables, table equality in
-same_rank_function, the subset-closure sweep in tangle membership) is
-compared with the subset-by-subset definition it replaces.
+Each fast path (the doubling DP for graph, GF(p) and decorated-graph
+tables, the array transforms for recipe tables, table equality in
+same_rank_function, the subset-closure sweep in tangle membership, the
+vectorized kappa sweep) is compared with the subset-by-subset definition
+it replaces.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit import dual, from_graph, from_matrix, rank_table, same_rank_function
-from matroidkit.representations import GraphRep
+from matroidkit import (
+    clique,
+    direct_sum,
+    dual,
+    from_graph,
+    from_matrix,
+    free_extension,
+    kappa,
+    minor_with_map,
+    principal_extension,
+    rank_table,
+    same_rank_function,
+    truncation,
+    uniform,
+    whirl,
+)
+from matroidkit._bits import elements_of, popcount_table
+from matroidkit.core import Matroid, closure_mask
+from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _small_flags
 
-from oracles import graph_rank, lam
+from oracles import gf_rank, graph_rank, lam
+from test_minor_reps import decorated_reps
 from test_properties import graph_matroids, linear_matroids
 
 
@@ -92,3 +114,193 @@ def test_small_flags_match_per_member_definition(m, data):
         under |= (idx & ~mx) == 0
     separating = np.array([lam(m, x) < theta - 1 for x in range(1 << n)])
     assert np.array_equal(_small_flags(t), separating & under)
+
+
+@st.composite
+def dependent_linear_reps(draw, max_cols=10):
+    """Zero rows and zero, repeated and dependent columns all occur; over
+    GF(2), sometimes more rows than fit in one packed machine word."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nr = draw(st.integers(0, 5) if p != 2 else
+              st.one_of(st.integers(0, 5), st.just(65)))
+    entry = st.integers(0, p - 1)
+    cols = []
+    for _ in range(draw(st.integers(0, max_cols))):
+        how = draw(st.sampled_from(("random", "zero", "copy", "combination")))
+        if how == "zero":
+            cols.append((0,) * nr)
+        elif how == "random" or not cols:
+            cols.append(tuple(draw(entry) for _ in range(nr)))
+        elif how == "copy":
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            ca, cb = draw(entry), draw(entry)
+            cols.append(tuple((ca * x + cb * y) % p for x, y in zip(a, b)))
+    if nr and draw(st.booleans()):  # a zero row
+        row = draw(st.integers(0, nr - 1))
+        cols = [c[:row] + (0,) + c[row + 1:] for c in cols]
+    return LinearRep(p, nr, tuple(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependent_linear_reps())
+def test_linear_table_dp_matches_elimination_on_every_mask(rep):
+    table = rep.rank_table_fast()
+    assert table.dtype == np.uint8
+    cols = rep.columns
+    expected = [gf_rank([cols[e] for e in range(len(cols)) if (x >> e) & 1],
+                        rep.prime)
+                for x in range(1 << len(cols))]
+    assert table.tolist() == expected
+
+
+def _oracle_walk(m):
+    return np.fromiter(map(m._rank_mask, range(1 << m.size)), np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(decorated_reps())
+def test_decorated_graph_table_matches_oracle_walk(rep):
+    m = rep.matroid()
+    assert np.array_equal(rank_table(m), _oracle_walk(m))
+
+
+def _bare(m):
+    """The same rank function with no provenance: no table builder."""
+    return Matroid(m.size, m._rank_mask)
+
+
+@st.composite
+def recipes(draw, depth=3):
+    """Recipe matroids of at most 12 elements over represented and bare
+    operands, including minors of recipes."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        how = draw(st.sampled_from(("linear", "graph", "bare", "uniform",
+                                    "whirl")))
+        if how == "uniform":
+            n = draw(st.integers(0, 7))
+            return uniform(draw(st.integers(0, n)), n)
+        if how == "whirl":
+            return whirl(draw(st.integers(2, 4)))
+        m = draw(linear_matroids(max_cols=6) if how != "graph"
+                 else graph_matroids(max_edges=6))
+        return _bare(m) if how == "bare" else m
+    m = draw(recipes(depth=depth - 1))
+    ops = ["dual", "minor"]
+    if m.size < 12:
+        ops += ["free-extension", "principal-extension", "direct-sum"]
+    if m.full_rank() > 0:
+        ops.append("truncation")
+    op = draw(st.sampled_from(ops))
+    if op == "dual":
+        return dual(m)
+    if op == "truncation":
+        return truncation(m)
+    if op == "free-extension":
+        return free_extension(m)
+    if op == "principal-extension":
+        seed = draw(st.integers(0, m.full_mask))
+        return principal_extension(m, elements_of(closure_mask(m, seed)))
+    if op == "direct-sum":
+        other = draw(recipes(depth=0))
+        if m.size + other.size > 12:
+            return m
+        return direct_sum(m, other)
+    roles = draw(st.lists(st.sampled_from("ckd"), min_size=m.size,
+                          max_size=m.size))
+    minor, _ = minor_with_map(
+        m, [e for e in range(m.size) if roles[e] == "c"],
+        [e for e in range(m.size) if roles[e] == "d"])
+    return minor
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes())
+def test_recipe_table_matches_its_own_oracle_walk(m):
+    expected = _oracle_walk(m)
+    assert np.array_equal(rank_table(m), expected)
+
+
+def _counting(m):
+    """m's rank function and provenance, counting oracle calls."""
+    calls = []
+
+    def rank_mask(mask):
+        calls.append(mask)
+        return m._rank_mask(mask)
+
+    return Matroid(m.size, rank_mask, provenance=m.provenance), calls
+
+
+def test_recipe_tables_never_walk_an_operand_oracle():
+    base, calls = _counting(from_matrix(
+        [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]], 2))
+    minor, _ = minor_with_map(truncation(free_extension(dual(base))),
+                              [0], [3])
+    flat = elements_of(closure_mask(minor, 0b11))
+    m = direct_sum(principal_extension(minor, flat), uniform(2, 3))
+    calls.clear()  # the constructors read full ranks and closures
+    table = rank_table(m)
+    assert calls == []
+    assert np.array_equal(table, _oracle_walk(m))
+    assert calls  # the reference walk does reach the base's oracle
+
+
+def test_recipe_over_a_bare_operand_walks_only_its_own_oracle():
+    bare, calls = _counting(_bare(from_matrix(
+        [[1, 0, 1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 1, 1, 0, 2]], 3)))
+    minor, _ = minor_with_map(dual(bare), [0, 1, 2], [3, 4, 5])
+    calls.clear()
+    table = rank_table(minor)
+    assert 0 < len(calls) <= 1 << minor.size  # never all 2^8 base subsets
+    assert np.array_equal(table, _oracle_walk(minor))
+    rank_table(bare)  # once the operand's table is cached, it is used
+    d = dual(bare)
+    calls.clear()
+    table = rank_table(d)
+    assert calls == []
+    assert np.array_equal(table, _oracle_walk(d))
+
+
+def test_graph_table_budget_declines_before_allocating():
+    path = GraphRep(120, tuple((i, i + 1) for i in range(22)))
+    tracemalloc.start()
+    try:
+        assert path.rank_table_fast() is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    table = clique(7).provenance.rank_table_fast()  # 21 edges, 7 vertices
+    assert table is not None and table[-1] == 6
+
+
+def test_graph_table_dp_with_wide_vertex_labels():
+    edges = tuple(((13 * i) % 300, (29 * i + 5) % 300) for i in range(9))
+    g = GraphRep(300, edges + ((299, 0), (0, 299), (7, 7)))
+    assert g.rank_table_fast().tolist() == [
+        graph_rank(300, g.edges, x) for x in range(1 << len(g.edges))]
+
+
+def test_popcount_table():
+    assert popcount_table(0).tolist() == [0]
+    assert popcount_table(10).tolist() == [x.bit_count()
+                                           for x in range(1 << 10)]
+
+
+def test_vectorized_kappa_matches_least_minimizer_loop():
+    # 19 elements, 17 free: the vectorized sweep. The reference walks the
+    # sides in ascending mask order and keeps the first minimum.
+    m, _ = minor_with_map(clique(7), (), (0, 1))
+    x, y = 1 << 4, 1 << 12
+    t = rank_table(m).tolist()
+    full, rm = m.full_mask, m.full_rank()
+    best = None
+    for z in range(1 << m.size):
+        if z & x and not z & y:
+            value = t[z] + t[full ^ z] - rm
+            if best is None or value < best[0]:
+                best = (value, z)
+    value, cert = kappa(m, [4], [12])
+    assert (value, sum(1 << e for e in cert.side)) == best
