@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -261,16 +261,32 @@ def loops_mask(m: Matroid) -> int:
 
 def parallel_classes(m: Matroid) -> list[tuple[int, ...]]:
     """Parallel classes of nonloops, each sorted, list sorted by least element."""
-    nonloops = [e for e in range(m.size) if m.r(1 << e) == 1]
+    return _point_classes(m.r, 0, range(m.size))[0]
+
+
+def _point_classes(r: Callable[[int], int], cmask: int, elements: Iterable[int]
+                   ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Parallel classes and loops of m / cmask among the given elements
+    (ascending), in m's labels, where r reads m's ranks.
+
+    e is a loop when r(C + e) = r(C); nonloops e and f are parallel when
+    r(C + e + f) = r(C) + 1. Classes are sorted, listed by least element.
+    """
+    rc = r(cmask)
     classes: list[list[int]] = []
-    for e in nonloops:
+    loops: list[int] = []
+    for e in elements:
+        ce = cmask | 1 << e
+        if r(ce) == rc:
+            loops.append(e)
+            continue
         for cls in classes:
-            if m.r((1 << cls[0]) | (1 << e)) == 1:
+            if r(ce | 1 << cls[0]) == rc + 1:
                 cls.append(e)
                 break
         else:
             classes.append([e])
-    return [tuple(cls) for cls in classes]
+    return [tuple(cls) for cls in classes], loops
 
 
 def epsilon(m: Matroid) -> int:
@@ -307,20 +323,8 @@ def minor_with_map(m: Matroid, contract: Iterable[int], delete: Iterable[int],
         prov = Recipe("minor", args=(m,),
                       params={"contract": elements_of(cmask),
                               "delete": elements_of(dmask)})
-    n = Matroid(len(keep), _minor_oracle(m, cmask, keep), provenance=prov,
-                name=name)
-    return n, keep
-
-
-def _minor_oracle(m: Matroid, cmask: int,
-                  images: Sequence[int]) -> Callable[[int], int]:
-    """Rank oracle of m / cmask on the elements images[0], images[1], ...
-
-    Element i of the result is host element images[i]; ranks are read from
-    the host's own oracle.
-    """
     rc = m.r(cmask)
-    host_bit = [1 << h for h in images]
+    host_bit = [1 << h for h in keep]
 
     def rank_mask(mask: int) -> int:
         host = cmask
@@ -328,7 +332,7 @@ def _minor_oracle(m: Matroid, cmask: int,
             host |= host_bit[i]
         return m.r(host) - rc
 
-    return rank_mask
+    return Matroid(len(keep), rank_mask, provenance=prov, name=name), keep
 
 
 def delete(m: Matroid, subset: Iterable[int]) -> Matroid:
@@ -420,10 +424,10 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     """Check a minor certificate by exhaustive rank agreement.
 
     Verifies the contract/delete/image partition of E(host) and that the
-    target's rank table equals the table of the contracted host, read
-    through the host's own oracle (never through a representation of the
-    minor). A bijection is the certificate with nothing contracted or
-    deleted.
+    target's rank table equals r(C + image(X)) - r(C) over every target
+    subset X, read through the host's own oracle (never through a
+    representation of the minor or the host's table). A bijection is the
+    certificate with nothing contracted or deleted.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -442,9 +446,13 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
             f"certificate validation is exhaustive; target has {target.size} "
             f"> {exhaustive_limit} elements"
         )
-    images = [pairs[t] for t in range(target.size)]
-    minor = Matroid(target.size, _minor_oracle(host, cmask, images))
-    return np.array_equal(rank_table(minor), rank_table(target))
+    masks = [cmask]  # C + image(x) for every target subset x, by doubling
+    for t in range(target.size):
+        bit = 1 << pairs[t]
+        masks += [x | bit for x in masks]
+    ranks = np.fromiter(map(host.r, masks), np.int16, len(masks))
+    ranks -= host.r(cmask)
+    return np.array_equal(ranks, rank_table(target))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from ._bits import popcount
-from .core import Matroid, loops_mask, parallel_classes, rank_table
+from .core import (Matroid, _built_table, loops_mask, parallel_classes,
+                   rank_table)
 from .errors import ResourceLimitError
 
 
@@ -101,15 +102,18 @@ def find_embedding(host: Matroid, target: Matroid,
     """Injective map of E(target) into E(host) preserving ranks of all
     subsets of the image. Returns {target element: host element} or None.
 
-    candidates[t] restricts images of element t.
+    candidates[t] restricts images of element t. Host ranks are read from
+    the host's rank table when it is cached or its provenance builds it,
+    else from the host's oracle; either way the search is the same.
     """
     nt = target.size
     if nt > 20:
         raise ResourceLimitError("embedding search needs |E(target)| <= 20")
     if nt > host.size:
         return None
-    hr = host.r
-    t_table = rank_table(target)
+    h_table = _built_table(host)
+    hr = host.r if h_table is None else h_table.tobytes().__getitem__
+    tr = rank_table(target).tobytes().__getitem__
     order = _constraint_order(target)
     if candidates is None:
         candidates = [list(range(host.size))] * nt
@@ -133,7 +137,7 @@ def find_embedding(host: Matroid, target: Matroid,
                 continue
             ok = True
             for i in range(half):
-                if t_table[t_masks[i] | tbit] != hr(h_masks[i] | hbit):
+                if tr(t_masks[i] | tbit) != hr(h_masks[i] | hbit):
                     ok = False
                     break
             if not ok:

@@ -15,6 +15,8 @@ from ._bits import bits, elements_of, find, mask_of, popcount
 from .core import (
     Matroid,
     MinorCertificate,
+    _built_table,
+    _point_classes,
     epsilon,
     loops_mask,
     minor_with_map,
@@ -44,26 +46,33 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
     of C is an isomorphism, so C runs over parallel-class representatives.
     The restriction is then found by embedding the target's simplification
     into that of m / C with parallel-class capacities and loops respected.
+
+    m's ranks are read from its rank table when it is cached or m's
+    provenance builds it, else from m's oracle. With validate, a
+    certificate is checked against m's own oracle before it is returned,
+    but only when the target has at most 20 elements: for a larger target
+    the check is skipped without notice.
     """
     if m.size > size_cap:
         raise ResourceLimitError(
             f"minor search over {m.size} elements exceeds cap {size_cap}")
-    dr = m.full_rank() - target.full_rank()
+    table = _built_table(m)
+    r = m.r if table is None else table.tobytes().__getitem__
+    dr = r(m.full_mask) - target.full_rank()
     if dr < 0 or target.size > m.size - dr:
         return None
 
-    t_classes = parallel_classes(target)
-    demand = [len(c) for c in t_classes]
-    n_t_loops = target.size - sum(demand)
+    t_classes, t_loops = _point_classes(target.r, 0, range(target.size))
+    t_reps = {c[0] for c in t_classes}
+    t_si, _ = minor_with_map(
+        target, (), [e for e in range(target.size) if e not in t_reps])
 
-    reps = [c[0] for c in parallel_classes(m)]
+    reps = [c[0] for c in _point_classes(r, 0, range(m.size))[0]]
     for combo in itertools.combinations(reps, dr):
         cmask = mask_of(combo)
-        if m.r(cmask) != dr:
+        if r(cmask) != dr:
             continue
-        mc, keep = minor_with_map(m, combo, ())
-        cert = _embed_restriction(m, mc, keep, combo, target, t_classes,
-                                  demand, n_t_loops)
+        cert = _embed_restriction(m, r, cmask, t_si, t_classes, t_loops)
         if cert is not None:
             if validate and target.size <= 20:
                 if not cert.validate(m, target):
@@ -73,48 +82,37 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
     return None
 
 
-def _embed_restriction(m, mc, keep, combo, target, t_classes, demand,
-                       n_t_loops):
-    mc_classes = parallel_classes(mc)
-    if len(mc_classes) < len(t_classes):
-        return None
-    if mc.size - sum(len(c) for c in mc_classes) < n_t_loops:
-        return None
+def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):
+    """Certificate that the target is a restriction of m / cmask, or None.
 
-    # simplification of mc; si element i descends from the class whose
-    # representative is the i-th smallest
-    si_reps = sorted(c[0] for c in mc_classes)
-    rep_index = {e: i for i, e in enumerate(si_reps)}
-    mc_si, _ = minor_with_map(
-        mc, (), [e for e in range(mc.size) if e not in rep_index])
-    capacity = [0] * len(si_reps)
-    for cls in mc_classes:
-        capacity[rep_index[cls[0]]] = len(cls)
-
-    candidates = [[h for h in range(len(si_reps)) if capacity[h] >= demand[t]]
-                  for t in range(len(t_classes))]
+    The classes and loops of m / cmask are read through r in m's labels,
+    so a contraction set that fails the count tests builds no minor. One
+    that passes builds m / cmask restricted to its class representatives,
+    whose element i stands for the i-th class.
+    """
+    rest = [e for e in range(m.size) if not (cmask >> e) & 1]
+    classes, loops = _point_classes(r, cmask, rest)
+    if len(classes) < len(t_classes) or len(loops) < len(t_loops):
+        return None
+    candidates = [[h for h, cls in enumerate(classes) if len(cls) >= len(tc)]
+                  for tc in t_classes]
     if any(not c for c in candidates):
         return None
-    t_reps = {c[0] for c in t_classes}
-    t_si, _ = minor_with_map(
-        target, (), [e for e in range(target.size) if e not in t_reps])
-    phi = find_embedding(mc_si, t_si, candidates=candidates)
+    reps = {cls[0] for cls in classes}
+    si, _ = minor_with_map(m, elements_of(cmask),
+                           [e for e in rest if e not in reps])
+    phi = find_embedding(si, t_si, candidates=candidates)
     if phi is None:
         return None
 
     # expand the point-level embedding to every target element
-    class_at = {rep_index[cls[0]]: cls for cls in mc_classes}
-    mapping: list[tuple[int, int]] = []
-    for t_idx, host_idx in phi.items():
-        for te, he in zip(t_classes[t_idx], class_at[host_idx]):
-            mapping.append((te, keep[he]))
-    host_loops = elements_of(loops_mask(mc))
-    for te, he in zip(elements_of(loops_mask(target)), host_loops):
-        mapping.append((te, keep[he]))
-
+    mapping = list(zip(t_loops, loops))
+    for t_idx, h_idx in phi.items():
+        mapping.extend(zip(t_classes[t_idx], classes[h_idx]))
     image = mask_of(h for _, h in mapping)
-    deleted = m.full_mask & ~image & ~mask_of(combo)
-    return MinorCertificate(frozenset(combo), frozenset(elements_of(deleted)),
+    deleted = m.full_mask & ~image & ~cmask
+    return MinorCertificate(frozenset(elements_of(cmask)),
+                            frozenset(elements_of(deleted)),
                             tuple(sorted(mapping)))
 
 

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matroidkit import Matroid, clique, direct_sum, fano, is_isomorphic, uniform
+from matroidkit import (Matroid, clique, direct_sum, fano, find_embedding,
+                        from_matrix, is_isomorphic, uniform)
 from matroidkit.constructions import triangle_ext, whirl
 from oracles import iso_brute
+from strategies import graph_reps, linear_reps
 
 
 PAIRS = [
@@ -56,3 +59,65 @@ def test_random_relabelings_are_found(rng: random.Random):
 def test_size_or_rank_mismatch_short_circuits():
     assert is_isomorphic(uniform(2, 4), uniform(2, 5)) is None
     assert is_isomorphic(uniform(2, 4), uniform(3, 4)) is None
+
+
+# ---------------------------------------------------------------------------
+# embeddings read the host's rank table
+
+
+def _relabeled_restriction(host, elems):
+    """Bare-oracle matroid whose element i is host element elems[i]."""
+    def rank_mask(mask):
+        return host._rank_mask(sum(1 << h for i, h in enumerate(elems)
+                                   if (mask >> i) & 1))
+    return Matroid(len(elems), rank_mask)
+
+
+@st.composite
+def embedding_cases(draw):
+    """A GF(2), GF(3) or graph host of at most 10 elements, a target that
+    is usually a relabeled restriction of it (otherwise an unrelated small
+    matroid), and candidate lists or None."""
+    rep = draw(st.one_of(linear_reps(max_cols=10, primes=(2, 3)),
+                         graph_reps(max_vertices=6, max_edges=10)))
+    host = rep.matroid()
+    n = host.size
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        target = _relabeled_restriction(host, perm[:draw(st.integers(1, n))])
+    else:
+        other = draw(st.one_of(linear_reps(max_cols=5, primes=(2, 3)),
+                               graph_reps(max_edges=5)))
+        target = other.matroid()
+    candidates = None
+    if draw(st.booleans()):
+        candidates = [draw(st.lists(st.integers(0, n - 1), unique=True))
+                      for _ in range(target.size)]
+    return host, target, candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedding_cases())
+def test_embedding_on_the_host_table_matches_its_bare_oracle_twin(case):
+    host, target, candidates = case
+    twin = Matroid(host.size, host._rank_mask)
+    phi = find_embedding(host, target, candidates)
+    assert phi == find_embedding(twin, target, candidates)
+    if phi is not None:
+        assert sorted(phi) == list(range(target.size))
+        assert len(set(phi.values())) == target.size
+        for t, h in phi.items():
+            assert candidates is None or h in candidates[t]
+        for mask in range(1 << target.size):
+            image = sum(1 << phi[t] for t in range(target.size)
+                        if (mask >> t) & 1)
+            assert host.r(image) == target.r(mask)
+
+
+def test_embedding_on_a_linear_host_never_calls_its_oracle():
+    host = from_matrix([[1, 0, 1, 1, 0], [0, 1, 1, 2, 1]], 3)
+    oracle, calls = host._rank_mask, []
+    host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+    assert find_embedding(host, uniform(2, 4)) is not None
+    assert find_embedding(host, uniform(2, 5)) is None
+    assert calls == []

@@ -1,9 +1,11 @@
 """Minor search, graphicness testing, extension dichotomy, spike splitting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
+    Matroid,
     PreconditionError,
     ResourceLimitError,
     biclique,
@@ -14,6 +16,7 @@ from matroidkit import (
     find_clique_minor,
     free_ext_clique,
     from_graph,
+    from_matrix,
     has_minor,
     is_graphic,
     is_spike,
@@ -29,7 +32,9 @@ from matroidkit import (
     whirl,
 )
 
-from oracles import graph_rank, minor_brute
+from matroidkit.representations import GraphRep
+from oracles import certificate_walk, graph_rank, minor_brute
+from strategies import graph_reps, linear_reps
 
 
 # every host here is small enough for the unpruned oracle
@@ -66,6 +71,88 @@ def test_minor_size_cap():
     with pytest.raises(ResourceLimitError):
         has_minor(clique(8), clique(3))  # 28 elements over the default cap
     assert has_minor(clique(8), clique(3), size_cap=28) is not None
+
+
+# ---------------------------------------------------------------------------
+# the search reads the host's rank table
+
+
+SMALL_TARGETS = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4)]
+
+
+def small_targets():
+    return st.one_of(
+        st.sampled_from(SMALL_TARGETS),
+        linear_reps(max_rows=3, max_cols=4, primes=(2, 3)).map(
+            lambda rep: rep.matroid()),
+        graph_reps(max_edges=4).map(lambda rep: rep.matroid()))
+
+
+def small_hosts():
+    """GF(2), GF(3) and graph representations of at most 7 elements."""
+    return st.one_of(linear_reps(max_cols=7, primes=(2, 3)),
+                     graph_reps(max_edges=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(), small_targets())
+def test_has_minor_on_the_host_table_matches_brute_and_its_twin(rep, target):
+    host = rep.matroid()
+    twin = Matroid(host.size, host._rank_mask)
+    cert = has_minor(host, target)
+    assert (cert is not None) == minor_brute(host, target)
+    assert cert == has_minor(twin, target)
+    if cert is not None:
+        assert certificate_walk(cert, host, target)
+
+
+TERNARY = [[1, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 0, 1], [0, 0, 1, 0, 0, 1, 2]]
+BINARY = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("rows,p,found", [(TERNARY, 3, True),
+                                          (BINARY, 2, False)],
+                         ids=["ternary", "binary"])
+def test_search_on_a_linear_host_never_calls_its_oracle(rows, p, found):
+    host = from_matrix(rows, p)
+    oracle, calls = host._rank_mask, []
+    host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+    cert = has_minor(host, uniform(2, 4), validate=False)
+    assert (cert is not None) == found
+    assert calls == []
+    if found:
+        assert validate_certificate(cert, host, uniform(2, 4))
+        assert calls  # validation reads the host's own oracle
+
+
+def test_a_lying_host_raises_rather_than_return_a_failing_certificate():
+    # the provenance claims a triangle (U(2,3)); the oracle is U(1,3)
+    triangle = GraphRep(3, ((0, 1), (1, 2), (0, 2)))
+    liar = Matroid(3, lambda mask: min(mask, 1), provenance=triangle)
+    assert has_minor(liar, uniform(2, 3), validate=False) is not None
+    with pytest.raises(RuntimeError):
+        has_minor(liar, uniform(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hosts(), small_targets(), st.data())
+def test_a_lying_host_never_returns_a_failing_certificate(rep, target, data):
+    # the oracle is the provenance's matroid with its elements relabeled
+    truth = rep.matroid()
+    n = truth.size
+    perm = data.draw(st.permutations(range(n)))
+
+    def relabeled(mask):
+        return truth.r(sum(1 << perm[i] for i in range(n) if (mask >> i) & 1))
+
+    liar = Matroid(n, relabeled, provenance=rep)
+    try:
+        cert = has_minor(liar, target)
+    except RuntimeError:
+        return
+    if cert is not None:
+        assert validate_certificate(cert, liar, target)
+        assert certificate_walk(cert, liar, target)
 
 
 # ---------------------------------------------------------------------------
