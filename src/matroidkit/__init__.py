@@ -78,7 +78,6 @@ from .constructions import (
 )
 from .exchange import deserialize, dump, load, serialize
 from .isomorphism import (
-    brute_force_isomorphic,
     find_embedding,
     invariant_profile,
     is_isomorphic,
@@ -109,8 +108,6 @@ from .minors import (
     ExtensionClass,
     MembershipRecord,
     classify_clique_extension,
-    find_biclique_restriction,
-    find_biclique_subgraph,
     find_clique_minor,
     has_minor,
     is_graphic,

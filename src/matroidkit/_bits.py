@@ -40,6 +40,18 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+def spread(base: int, positions: Iterable[int]) -> np.ndarray:
+    """base with bit i of s moved to positions[i], for every s below
+    2^len(positions): an int32 array indexed by s and filled in place by
+    doubling. It ascends when the positions ascend and miss base."""
+    positions = tuple(positions)
+    out = np.empty(1 << len(positions), dtype=np.int32)
+    out[0] = base
+    for i, pos in enumerate(positions):
+        np.bitwise_or(out[:1 << i], 1 << pos, out=out[1 << i:2 << i])
+    return out
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, descending, ending with 0."""
     sub = mask

@@ -37,6 +37,7 @@ from .core import Matroid, epsilon
 from .errors import (
     DomainError,
     FormatError,
+    GroundSetError,
     MatroidError,
     PreconditionError,
     ReductionDidNotClose,
@@ -452,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return _RESOURCE
-    except (DomainError, PreconditionError, FormatError,
+    except (DomainError, GroundSetError, PreconditionError, FormatError,
             SerializationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import bits, elements_of, popcount
+from ._bits import bits, elements_of, spread
 from .core import (
     Matroid,
     MinorCertificate,
@@ -84,10 +84,7 @@ def _kappa_masks(m: Matroid, x: int, y: int) -> tuple[int, int]:
 
     if f > 16 and m.size <= TABLE_CAP:
         table = rank_table(m)
-        z = np.empty(1 << f, dtype=np.int32)  # z[s] = x | spread(s), ascending
-        z[0] = x
-        for i, pos in enumerate(positions):
-            np.bitwise_or(z[:1 << i], 1 << pos, out=z[1 << i:2 << i])
+        z = spread(x, positions)
         lam = table[z].astype(np.int16)
         z ^= full  # the complements, in place
         lam += table[z]

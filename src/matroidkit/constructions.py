@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bits import bits, elements_of, mask_of, popcount
+from ._bits import elements_of, mask_of, popcount
 from .core import (
     Matroid,
     Recipe,
@@ -24,7 +24,6 @@ from .errors import DomainError, PreconditionError
 from .representations import (
     EvenCycleRep,
     GraphRep,
-    LinearRep,
     SignedGraphRep,
     from_graph,
     from_matrix,

@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._bits import bits, elements_of, mask_of, popcount, popcount_table
+from ._bits import (bits, elements_of, mask_of, popcount, popcount_table,
+                    spread)
 from .errors import (
     DomainError,
     GroundSetError,
@@ -44,10 +45,11 @@ class GroundSet:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.size < 0 or self.size > GROUND_SET_CAP:
-            raise GroundSetError(
-                f"ground set size {self.size} outside [0, {GROUND_SET_CAP}]"
-            )
+        if self.size < 0:
+            raise GroundSetError(f"ground set size {self.size} is negative")
+        if self.size > GROUND_SET_CAP:
+            raise ResourceLimitError(
+                f"ground set size {self.size} exceeds cap {GROUND_SET_CAP}")
         if self.labels is not None and len(self.labels) != self.size:
             raise GroundSetError("labels length must equal ground set size")
 
@@ -124,11 +126,7 @@ class Recipe:
             cmask = mask_of(params["contract"])
             gone = cmask | mask_of(params["delete"])
             keep = [e for e in range(args[0].size) if not (gone >> e) & 1]
-            idx = np.empty(1 << n, dtype=np.int32)  # C | spread(x), by doubling
-            idx[0] = cmask
-            for i, h in enumerate(keep):
-                np.bitwise_or(idx[:1 << i], 1 << h, out=idx[1 << i:2 << i])
-            out = t[idx]
+            out = t[spread(cmask, keep)]
             out -= t[cmask]
             return out
         return None
@@ -184,12 +182,12 @@ class Matroid:
         return self._full_rank
 
     def mask(self, elements: Iterable[int]) -> int:
-        m = mask_of(elements)
-        if m & ~self.full_mask:
+        elements = tuple(elements)
+        bad = sorted({e for e in elements if not 0 <= e < self.size})
+        if bad:
             raise GroundSetError(
-                f"elements {sorted(set(elements))} not within 0..{self.size - 1}"
-            )
-        return m
+                f"elements {bad} not within 0..{self.size - 1}")
+        return mask_of(elements)
 
     def elements(self, mask: int) -> tuple[int, ...]:
         return elements_of(mask)
@@ -377,16 +375,12 @@ def simplify(m: Matroid) -> tuple[Matroid, dict[int, Optional[int]]]:
 
     Returns (si, mapping) where mapping[e] is e's element in si (None for loops).
     """
-    classes = parallel_classes(m)
+    classes, loops = _point_classes(m.r, 0, range(m.size))
     reps = sorted(cls[0] for cls in classes)
     rep_index = {e: i for i, e in enumerate(reps)}
     si, keep = minor_with_map(m, (), [e for e in range(m.size) if e not in rep_index])
     assert keep == tuple(reps)
-    mapping: dict[int, Optional[int]] = {}
-    loop_bits = loops_mask(m)
-    for e in range(m.size):
-        if (loop_bits >> e) & 1:
-            mapping[e] = None
+    mapping: dict[int, Optional[int]] = dict.fromkeys(loops)
     for cls in classes:
         target = rep_index[cls[0]]
         for e in cls:
@@ -459,16 +453,14 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
 # whole-matroid checks
 
 
-def same_rank_function(a: Matroid, b: Matroid, cap: int = TABLE_CAP) -> bool:
+def same_rank_function(a: Matroid, b: Matroid) -> bool:
     """Exact equality of rank functions (same ground set size)."""
     if a.size != b.size:
         return False
-    if a.size > cap:
-        raise ResourceLimitError(f"rank comparison needs |E| <= {cap}")
-    return np.array_equal(rank_table(a, cap), rank_table(b, cap))
+    return np.array_equal(rank_table(a), rank_table(b))
 
 
-def rank_table(m: Matroid, cap: int = TABLE_CAP) -> np.ndarray:
+def rank_table(m: Matroid) -> np.ndarray:
     """Rank of every subset, indexed by mask. uint8 array of length 2^n.
 
     The table is built at most once per matroid, cached on it and returned
@@ -481,10 +473,9 @@ def rank_table(m: Matroid, cap: int = TABLE_CAP) -> np.ndarray:
     subset instead.
     """
     n = m.size
-    if n > cap or n > TABLE_CAP:
+    if n > TABLE_CAP:
         raise ResourceLimitError(
-            f"rank table needs |E| <= {min(cap, TABLE_CAP)}, got {n}"
-        )
+            f"rank table needs |E| <= {TABLE_CAP}, got {n}")
     table = _built_table(m)
     if table is None:
         table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
@@ -514,7 +505,7 @@ def validate_rank_axioms(m: Matroid, cap: int = 14) -> None:
     n = m.size
     if n > cap:
         raise ResourceLimitError(f"axiom validation needs |E| <= {cap}")
-    table = rank_table(m, cap=cap).astype(np.int16)
+    table = rank_table(m).astype(np.int16)
     if table[0] != 0:
         raise PreconditionError("rank of empty set is not 0")
     idx = np.arange(1 << n)

@@ -6,7 +6,9 @@ class MatroidError(Exception):
 
 
 class GroundSetError(MatroidError):
-    """Ground set too large, non-contiguous, or an element is out of range."""
+    """Negative ground set size, labels of the wrong length, or an element
+    id outside the ground set. A ground set over the size cap raises
+    ResourceLimitError instead."""
 
 
 class DomainError(MatroidError):

@@ -26,6 +26,7 @@ from .representations import (
     GraphRep,
     LinearRep,
     SignedGraphRep,
+    _DecoratedGraphRep,
 )
 
 FORMAT_TAG = "matroid-exchange"
@@ -50,12 +51,9 @@ def _rep_payload(prov: Any, name: str) -> dict:
     elif isinstance(prov, GraphRep):
         out = {"kind": "graph", "n_vertices": prov.n_vertices,
                "edges": [[u, v] for u, v in prov.edges]}
-    elif isinstance(prov, EvenCycleRep):
-        out = {"kind": "even-cycle", "n_vertices": prov.n_vertices,
-               "edges": [[u, v] for u, v in prov.edges],
-               "odd": sorted(prov.odd)}
-    elif isinstance(prov, SignedGraphRep):
-        out = {"kind": "signed-graph", "n_vertices": prov.n_vertices,
+    elif isinstance(prov, _DecoratedGraphRep):
+        out = {"kind": "even-cycle" if isinstance(prov, EvenCycleRep)
+               else "signed-graph", "n_vertices": prov.n_vertices,
                "edges": [[u, v] for u, v in prov.edges],
                "odd": sorted(prov.odd)}
     elif isinstance(prov, Recipe):

@@ -2,16 +2,13 @@
 
 Backtracking over element assignments, pruned by iterated invariant
 refinement (loop status, parallel class size, 3-point-line incidences) and
-by rank agreement on every subset of the assigned prefix. A permutation
-brute force doubles as the correctness oracle for small ground sets.
+by rank agreement on every subset of the assigned prefix.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Optional
-
-import numpy as np
 
 from ._bits import popcount
 from .core import (Matroid, _built_table, loops_mask, parallel_classes,
@@ -176,24 +173,3 @@ def is_isomorphic(a: Matroid, b: Matroid) -> Optional[dict[int, int]]:
     if found is None:
         return None
     return {h: t for t, h in found.items()}
-
-
-def brute_force_isomorphic(a: Matroid, b: Matroid) -> Optional[dict[int, int]]:
-    """Reference oracle: try every bijection. |E| <= 8."""
-    n = a.size
-    if n != b.size:
-        return None
-    if n > 8:
-        raise ResourceLimitError("brute force isomorphism needs |E| <= 8")
-    ta = rank_table(a).astype(np.int16)
-    tb = rank_table(b).astype(np.int16)
-    idx = np.arange(1 << n)
-    bit_rows = [(idx >> e) & 1 for e in range(n)]
-    for perm in itertools.permutations(range(n)):
-        # image mask of each subset of a under e -> perm[e]
-        mapped = np.zeros(1 << n, dtype=np.int64)
-        for e in range(n):
-            mapped |= bit_rows[e] << perm[e]
-        if np.array_equal(tb[mapped], ta):
-            return {e: perm[e] for e in range(n)}
-    return None

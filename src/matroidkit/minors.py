@@ -1,5 +1,5 @@
-"""Exhaustive minor containment with certificates, biclique finding, graphic
-recognition, extension classification, and spike splitting witnesses.
+"""Exhaustive minor containment with certificates, graphic recognition,
+extension classification, and spike splitting witnesses.
 
 Each search is complete within an explicit size cap and raises a resource
 error beyond it; no search returns a silently wrong negative.
@@ -11,23 +11,20 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bits import bits, elements_of, find, mask_of, popcount
+from ._bits import bits, elements_of, find, mask_of
 from .core import (
     Matroid,
     MinorCertificate,
     _built_table,
     _point_classes,
-    epsilon,
-    loops_mask,
     minor_with_map,
-    parallel_classes,
     restriction,
     same_rank_function,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .isomorphism import find_embedding
 from .representations import GraphRep
-from .constructions import biclique, clique, is_spike, uniform
+from .constructions import clique, is_spike, uniform
 
 MINOR_SIZE_CAP = 24
 GRAPHIC_SIZE_CAP = 18
@@ -124,52 +121,6 @@ def find_clique_minor(m: Matroid, n: int, **kw) -> Optional[MinorCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# bicliques
-
-
-def find_biclique_subgraph(g: GraphRep, m: int
-                           ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Vertex sets (A, B) of a complete bipartite subgraph with |A| = |B| = m.
-
-    Exhaustive over left sides; deterministic (lexicographically first A,
-    then least B). Loops never count; multi-edges collapse.
-    """
-    if m < 1:
-        raise DomainError("biclique subgraph needs m >= 1")
-    nv = g.n_vertices
-    if nv > 24:
-        raise ResourceLimitError("biclique subgraph search needs <= 24 vertices")
-    adj = [0] * nv
-    for u, v in g.edges:
-        if u != v:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    for a in itertools.combinations(range(nv), m):
-        common = (1 << nv) - 1
-        for u in a:
-            common &= adj[u]
-        common &= ~mask_of(a)
-        if popcount(common) >= m:
-            return tuple(a), elements_of(common)[:m]
-    return None
-
-
-def find_biclique_restriction(m: Matroid, k: int) -> Optional[MinorCertificate]:
-    """A restriction of m isomorphic to the cycle matroid of K(k, k)."""
-    if k < 1:
-        raise DomainError("biclique restriction needs k >= 1")
-    target = biclique(k, k)
-    if target.size > m.size:
-        return None
-    phi = find_embedding(m, target)
-    if phi is None:
-        return None
-    deleted = m.full_mask & ~mask_of(phi.values())
-    return MinorCertificate(frozenset(), frozenset(elements_of(deleted)),
-                            tuple(sorted(phi.items())))
-
-
-# ---------------------------------------------------------------------------
 # graphic recognition
 
 
@@ -190,11 +141,11 @@ def is_graphic(m: Matroid, *, size_cap: int = GRAPHIC_SIZE_CAP
     if r == 0:
         return GraphRep(1, tuple((0, 0) for _ in range(m.size)))
 
+    classes, _ = _point_classes(m.r, 0, range(m.size))
     # simple rank-r graphic matroids top out at a clique
-    if epsilon(m) > r * (r + 1) // 2:
+    if len(classes) > r * (r + 1) // 2:
         return None
 
-    classes = parallel_classes(m)
     rep_of = {e: cls[0] for cls in classes for e in cls}
     reps = sorted(cls[0] for cls in classes)
 
@@ -214,13 +165,12 @@ def is_graphic(m: Matroid, *, size_cap: int = GRAPHIC_SIZE_CAP
     if placement is None:
         return None
 
-    loop_bits = loops_mask(m)
-    edges = tuple(
-        (0, 0) if (loop_bits >> e) & 1 else placement[rep_of[e]]
+    edges = tuple(  # loops are in no class
+        placement[rep_of[e]] if e in rep_of else (0, 0)
         for e in range(m.size)
     )
     rep = GraphRep(r + 1, edges)
-    if not same_rank_function(m, rep.matroid(), cap=size_cap):
+    if not same_rank_function(m, rep.matroid()):
         return None
     return rep
 
@@ -322,13 +272,17 @@ def classify_clique_extension(m: Matroid, e: int,
     """Classify element e added to a clique: the result is graphic iff e is
     a loop, a coloop, or parallel to an existing element.
 
-    check_base verifies that deleting e really leaves a clique.
+    check_base verifies that deleting e really leaves a clique, and raises
+    DomainError when it does not.
     """
     if not 0 <= e < m.size:
         raise DomainError(f"element {e} out of range")
     base = m.full_mask & ~(1 << e)
     if check_base:
-        _require_clique(restriction(m, elements_of(base)))
+        try:
+            _clique_realization(m, e)
+        except PreconditionError as exc:
+            raise DomainError(str(exc)) from exc
     bit = 1 << e
     if m.r(bit) == 0:
         return ExtensionClass(True, "loop")
@@ -340,20 +294,89 @@ def classify_clique_extension(m: Matroid, e: int,
     return ExtensionClass(False, "none-of-these")
 
 
-def _require_clique(base: Matroid) -> int:
-    """DomainError unless the matroid is a clique; returns its vertex count.
+def _clique_realization(m: Matroid, e: int) -> tuple[int, list]:
+    """Vertex labels that make m minus e the cycle matroid of K_k.
 
-    A simple graphic matroid of rank r with r(r+1)/2 elements must be the
-    complete graph on r + 1 vertices.
+    Returns (k, pairs), where pairs[x] is the vertex pair (u, v), u < v, of
+    base element x and pairs[e] is None. Raises PreconditionError when the
+    base is not a clique. Costs O(n^3) rank queries for n base elements.
+
+    The labels are read off triangle ranks, and the checks made on the way
+    are a complete certificate: every element has rank 1 and every pair
+    rank 2, the pairs are the C(k, 2) distinct edges of K_k, every triangle
+    of the labelling has rank 2, and r(base) = k - 1. Then any two edges of
+    a triangle span the third, so each edge uv lies in the closure of every
+    u-v path, one triangle at a time. Every spanning tree therefore spans
+    the base, and having k - 1 elements it is a basis. So every forest is
+    independent, as it extends to a spanning tree, and every cycle is
+    dependent, as each of its edges lies in the closure of the rest: the
+    independent sets are exactly the forests, and the base is M(K_k).
     """
-    r = base.full_rank()
-    if loops_mask(base) or any(len(c) > 1 for c in parallel_classes(base)):
-        raise DomainError("base matroid is not simple, so not a clique")
-    if base.size != r * (r + 1) // 2:
-        raise DomainError("base matroid has the wrong size for a clique")
-    if is_graphic(base) is None:
-        raise DomainError("base matroid is not graphic")
-    return r + 1
+    bit = 1 << e
+    base_mask = m.full_mask ^ bit
+    els = sorted(elements_of(base_mask))
+    ne = len(els)
+    r = m.r(base_mask)
+    k = r + 1
+    if ne != k * (k - 1) // 2:
+        raise PreconditionError(
+            f"base has {ne} elements but rank {r}; not a clique")
+    for x in els:
+        if m.r(1 << x) != 1:
+            raise PreconditionError("base is not simple")
+    pairs: list = [None] * m.size
+    if r < 2:  # K1 has no edge and K2 one
+        for x in els:
+            pairs[x] = (0, 1)
+        return k, pairs
+
+    # adjacency: two edges share a vertex iff they extend to a triangle
+    adj = [[False] * ne for _ in range(ne)]
+    for i, j in itertools.combinations(range(ne), 2):
+        mij = (1 << els[i]) | (1 << els[j])
+        if m.r(mij) != 2:
+            raise PreconditionError("base is not simple")
+        for t in range(ne):
+            if t != i and t != j and m.r(mij | (1 << els[t])) == 2:
+                adj[i][j] = adj[j][i] = True
+                break
+    n0 = [t for t in range(1, ne) if adj[0][t]]
+    if len(n0) != 2 * (k - 2):
+        raise PreconditionError("base is not a clique: wrong edge degree")
+    # split the neighbours of edge 0 into its two vertex stars
+    g0 = n0[0]
+    m0 = (1 << els[0]) | (1 << els[g0])
+    star = [g0] + [t for t in n0[1:]
+                   if adj[g0][t] and m.r(m0 | (1 << els[t])) == 3]
+    if len(star) != k - 2:
+        raise PreconditionError("base is not a clique: bad star split")
+    pairs[els[0]] = (0, 1)
+    label: dict[int, int] = {}
+    for nxt, t in enumerate(sorted(star), start=2):
+        pairs[els[t]] = (0, nxt)
+        label[t] = nxt
+    spokes = sorted(star)
+    for t in range(1, ne):
+        if t in label:
+            continue
+        ends = [label[a] for a in spokes if adj[t][a]]
+        if len(ends) == 2:
+            pairs[els[t]] = (ends[0], ends[1]) if ends[0] < ends[1] \
+                else (ends[1], ends[0])
+        elif len(ends) == 1:
+            pairs[els[t]] = (1, ends[0])
+        else:
+            raise PreconditionError("base is not a clique: stray adjacency")
+    if len({pairs[x] for x in els}) != ne:
+        raise PreconditionError("base is not a clique: edge labels collide")
+    # triangle closure check pins the labelling
+    edge_of = {pairs[x]: x for x in els}
+    for u, v, w in itertools.combinations(range(k), 3):
+        tri = (1 << edge_of[(u, v)]) | (1 << edge_of[(u, w)]) \
+            | (1 << edge_of[(v, w)])
+        if m.r(tri) != 2:
+            raise PreconditionError("base is not a clique: open triangle")
+    return k, pairs
 
 
 # ---------------------------------------------------------------------------

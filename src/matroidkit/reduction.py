@@ -22,11 +22,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from ._bits import bits, elements_of, find, union
+from ._bits import elements_of, find, union
 from .constructions import fano, free_ext_clique, square_ext, triangle_ext
 from .core import Matroid, MinorCertificate, minor_with_map, validate_certificate
 from .errors import DomainError, PreconditionError, ReductionDidNotClose
 from .isomorphism import is_isomorphic
+from .minors import _clique_realization, classify_clique_extension
 
 _DEPTH_CAP = 12
 
@@ -63,7 +64,11 @@ def reduce_clique_extension(host: Matroid, e: int, m: int) -> ReductionResult:
         raise DomainError("reduction needs m >= 4")
     if not 0 <= e < host.size:
         raise DomainError(f"element {e} out of range")
-    _check_position(host, e, raising=True)
+    pos = classify_clique_extension(host, e, check_base=False)
+    if pos.graphic:
+        raise PreconditionError("extension point is " + (
+            f"parallel to element {pos.witness}" if pos.reason == "parallel"
+            else f"a {pos.reason}"))
     _clique_realization(host, e)  # precondition; raises on a non-clique base
     transcript: list[dict] = []
     keep = tuple(range(host.size))
@@ -75,105 +80,7 @@ def reduce_clique_extension(host: Matroid, e: int, m: int) -> ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# preconditions and base structure
-
-
-def _check_position(host: Matroid, e: int, raising: bool = False) -> bool:
-    """True when e is in a nongraphic position over the base."""
-    bit = 1 << e
-    if host.r(bit) == 0:
-        if raising:
-            raise PreconditionError("extension point is a loop")
-        return False
-    if host.r(host.full_mask ^ bit) < host.full_rank():
-        if raising:
-            raise PreconditionError("extension point is a coloop")
-        return False
-    for f in bits(host.full_mask ^ bit):
-        fb = 1 << f
-        if host.r(fb) == 1 and host.r(bit | fb) == 1:
-            if raising:
-                raise PreconditionError(
-                    f"extension point is parallel to element {f}")
-            return False
-    return True
-
-
-def _clique_realization(host: Matroid, e: int) -> tuple[int, _Pairs]:
-    """Recover vertex labels for the base from triangle ranks alone.
-
-    Returns (vertex count, pairs) where pairs[x] is the edge of element x.
-    Raises PreconditionError when the base is not a simple clique.
-    """
-    bit = 1 << e
-    base_mask = host.full_mask ^ bit
-    els = sorted(elements_of(base_mask))
-    ne = len(els)
-    r = host.r(base_mask)
-    k = r + 1
-    if ne != k * (k - 1) // 2:
-        raise PreconditionError(
-            f"base has {ne} elements but rank {r}; not a clique")
-    for x in els:
-        if host.r(1 << x) != 1:
-            raise PreconditionError("base is not simple")
-    pairs: _Pairs = [None] * host.size
-    if r == 1:
-        pairs[els[0]] = (0, 1)
-        return 2, pairs
-    if r == 2:
-        # any bijection of three edges onto a triangle is a graph isomorphism
-        for x, pq in zip(els, ((0, 1), (0, 2), (1, 2))):
-            pairs[x] = pq
-        return 3, pairs
-
-    # adjacency: two edges share a vertex iff they extend to a triangle
-    adj = [[False] * ne for _ in range(ne)]
-    for i, j in itertools.combinations(range(ne), 2):
-        mij = (1 << els[i]) | (1 << els[j])
-        if host.r(mij) != 2:
-            raise PreconditionError("base is not simple")
-        for t in range(ne):
-            if t != i and t != j and host.r(mij | (1 << els[t])) == 2:
-                adj[i][j] = adj[j][i] = True
-                break
-    n0 = [t for t in range(1, ne) if adj[0][t]]
-    if len(n0) != 2 * (k - 2):
-        raise PreconditionError("base is not a clique: wrong edge degree")
-    # split the neighbours of edge 0 into its two vertex stars
-    g0 = n0[0]
-    m0 = (1 << els[0]) | (1 << els[g0])
-    star = [g0] + [t for t in n0[1:]
-                   if adj[g0][t] and host.r(m0 | (1 << els[t])) == 3]
-    if len(star) != k - 2:
-        raise PreconditionError("base is not a clique: bad star split")
-    pairs[els[0]] = (0, 1)
-    label: dict[int, int] = {}
-    for nxt, t in enumerate(sorted(star), start=2):
-        pairs[els[t]] = (0, nxt)
-        label[t] = nxt
-    spokes = sorted(star)
-    for t in range(1, ne):
-        if t in label:
-            continue
-        ends = [label[a] for a in spokes if adj[t][a]]
-        if len(ends) == 2:
-            pairs[els[t]] = (ends[0], ends[1]) if ends[0] < ends[1] \
-                else (ends[1], ends[0])
-        elif len(ends) == 1:
-            pairs[els[t]] = (1, ends[0])
-        else:
-            raise PreconditionError("base is not a clique: stray adjacency")
-    if len({pairs[x] for x in els}) != ne:
-        raise PreconditionError("base is not a clique: edge labels collide")
-    # triangle closure check pins the labelling
-    edge_of = {pairs[x]: x for x in els}
-    for u, v, w in itertools.combinations(range(k), 3):
-        tri = (1 << edge_of[(u, v)]) | (1 << edge_of[(u, w)]) \
-            | (1 << edge_of[(v, w)])
-        if host.r(tri) != 2:
-            raise PreconditionError("base is not a clique: open triangle")
-    return k, pairs
+# base structure
 
 
 def _set_partitions(k: int):
@@ -343,7 +250,7 @@ def _child(cur: Matroid, e: int, keep: tuple[int, ...], c_acc: frozenset,
     """
     mc, keepc = minor_with_map(cur, cset, dels)
     e_mc = keepc.index(e)
-    if not _check_position(mc, e_mc):
+    if classify_clique_extension(mc, e_mc, check_base=False).graphic:
         return None
     junk = []
     reps: list[int] = []

@@ -299,12 +299,8 @@ def from_graph(n_vertices: int, edges: Iterable[tuple[int, int]],
 
 
 @dataclass(frozen=True)
-class EvenCycleRep:
-    """Graph plus a set W of odd edges; the matroid of the GF(2) matrix whose
-    columns are edge incidence vectors stacked with the characteristic row
-    of W. A loop in W is a nonloop of the matroid (its column is the w-row
-    unit); a loop outside W is a matroid loop.
-    """
+class _DecoratedGraphRep:
+    """Graph plus a set of odd edges, represented through to_linear."""
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -314,6 +310,40 @@ class EvenCycleRep:
         _check_graph(self.n_vertices, self.edges)
         if any(not (0 <= i < len(self.edges)) for i in self.odd):
             raise GroundSetError("odd set must index edges")
+
+    def matroid(self, name: str = "") -> Matroid:
+        inner = self.to_linear().matroid()
+        return Matroid(len(self.edges), inner._rank_mask, provenance=self,
+                       name=name)
+
+    def rank_table_fast(self) -> Optional[np.ndarray]:
+        return self.to_linear().rank_table_fast()
+
+    def _deletion(self, contract: tuple[int, ...], delete: tuple[int, ...]):
+        if contract:
+            return None  # contractions leave the class; fall back to a recipe
+        gone = set(delete)
+        keep = [i for i in range(len(self.edges)) if i not in gone]
+        renum = {old: new for new, old in enumerate(keep)}
+        return type(self)(
+            self.n_vertices,
+            tuple(self.edges[i] for i in keep),
+            frozenset(renum[i] for i in self.odd if i in renum),
+        )
+
+
+# Each subclass defines its own minor_rep: perfbench's Tracer.install()
+# reads it from the class's own __dict__ and raises KeyError on an inherited
+# one.
+
+
+@dataclass(frozen=True)
+class EvenCycleRep(_DecoratedGraphRep):
+    """Graph plus a set W of odd edges; the matroid of the GF(2) matrix whose
+    columns are edge incidence vectors stacked with the characteristic row
+    of W. A loop in W is a nonloop of the matroid (its column is the w-row
+    unit); a loop outside W is a matroid loop.
+    """
 
     def to_linear(self) -> LinearRep:
         nr = self.n_vertices + 1
@@ -328,43 +358,17 @@ class EvenCycleRep:
             columns.append(tuple(col))
         return LinearRep(2, nr, tuple(columns))
 
-    def matroid(self, name: str = "") -> Matroid:
-        inner = self.to_linear().matroid()
-        return Matroid(len(self.edges), inner._rank_mask, provenance=self,
-                       name=name)
-
-    def rank_table_fast(self) -> Optional[np.ndarray]:
-        return self.to_linear().rank_table_fast()
-
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
-        if contract:
-            return None  # contractions leave the class; fall back to a recipe
-        gone = set(delete)
-        keep = [i for i in range(len(self.edges)) if i not in gone]
-        renum = {old: new for new, old in enumerate(keep)}
-        return EvenCycleRep(
-            self.n_vertices,
-            tuple(self.edges[i] for i in keep),
-            frozenset(renum[i] for i in self.odd if i in renum),
-        )
+        return self._deletion(contract, delete)
 
 
 @dataclass(frozen=True)
-class SignedGraphRep:
+class SignedGraphRep(_DecoratedGraphRep):
     """Graph plus odd edges over GF(3): column b_u + b_v for odd edges,
     b_u - b_v otherwise. Odd loops give +-b_v (a nonloop); even loops are
     matroid loops. Swapping an edge's end order negates its column, so the
     matroid is orientation-independent.
     """
-
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    odd: frozenset[int]
-
-    def __post_init__(self):
-        _check_graph(self.n_vertices, self.edges)
-        if any(not (0 <= i < len(self.edges)) for i in self.odd):
-            raise GroundSetError("odd set must index edges")
 
     def to_linear(self) -> LinearRep:
         columns = []
@@ -376,25 +380,8 @@ class SignedGraphRep:
             columns.append(tuple(col))
         return LinearRep(3, self.n_vertices, tuple(columns))
 
-    def matroid(self, name: str = "") -> Matroid:
-        inner = self.to_linear().matroid()
-        return Matroid(len(self.edges), inner._rank_mask, provenance=self,
-                       name=name)
-
-    def rank_table_fast(self) -> Optional[np.ndarray]:
-        return self.to_linear().rank_table_fast()
-
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
-        if contract:
-            return None
-        gone = set(delete)
-        keep = [i for i in range(len(self.edges)) if i not in gone]
-        renum = {old: new for new, old in enumerate(keep)}
-        return SignedGraphRep(
-            self.n_vertices,
-            tuple(self.edges[i] for i in keep),
-            frozenset(renum[i] for i in self.odd if i in renum),
-        )
+        return self._deletion(contract, delete)
 
 
 def even_cycle(n_vertices: int, edges: Iterable[tuple[int, int]],
@@ -416,7 +403,7 @@ def has_blocking_pair(rep) -> Optional[tuple[int, int]]:
     Loops count as incident to their single endpoint. An empty odd set is
     covered by the least pair.
     """
-    if not isinstance(rep, (EvenCycleRep, SignedGraphRep)):
+    if not isinstance(rep, _DecoratedGraphRep):
         raise DomainError("blocking pairs are defined for decorated graphs")
     nv = rep.n_vertices
     odd_edges = [rep.edges[i] for i in sorted(rep.odd)]

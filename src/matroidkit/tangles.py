@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import bits, elements_of, popcount, popcount_table, submasks
+from ._bits import popcount, popcount_table, submasks
 from .core import (
     Matroid,
     MinorCertificate,
@@ -189,17 +189,15 @@ def tangle_rank(t: Tangle, subset: Iterable[int]) -> int:
     return tangle_rank_mask(t, t.matroid.mask(subset))
 
 
-def tangle_matroid(t: Tangle, validate: Optional[bool] = None) -> Matroid:
+def tangle_matroid(t: Tangle) -> Matroid:
     """Wrap kappa_T as a Matroid of rank theta-1 on the same ground set.
 
-    validate=None runs the exhaustive rank-axiom check when |E| <= 12.
+    The rank axioms are checked exhaustively when |E| <= 12.
     """
     n = t.matroid.size
     out = Matroid(n, lambda mask: tangle_rank_mask(t, mask),
                   name=f"tangle-matroid(order {t.theta})")
-    if validate is None:
-        validate = n <= 12
-    if validate:
+    if n <= 12:
         validate_rank_axioms(out, cap=n)
     return out
 

@@ -165,3 +165,22 @@ def certificate_walk(cert, host, target) -> bool:
         if host.r(hm) - base != target.r(mask):
             return False
     return True
+
+
+def is_clique(m) -> bool:
+    """m is the cycle matroid of a complete graph.
+
+    A simple graphic matroid of rank r with r(r+1)/2 elements is M(K_{r+1}):
+    a connected realization has r + 1 vertices, and a simple graph on them
+    with that many edges is complete. The graphic test is the package's
+    spanning-tree search, which shares no code with its clique labelling.
+    """
+    from matroidkit import is_graphic
+
+    n, r = m.size, m.full_rank()
+    if any(m.r(1 << e) != 1 for e in range(n)):
+        return False
+    if any(m.r((1 << e) | (1 << f)) != 2
+           for e, f in itertools.combinations(range(n), 2)):
+        return False
+    return n == r * (r + 1) // 2 and is_graphic(m) is not None

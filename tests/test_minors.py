@@ -1,5 +1,7 @@
 """Minor search, graphicness testing, extension dichotomy, spike splitting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,13 +29,16 @@ from matroidkit import (
     spike,
     spike_split_witness,
     triangle_ext,
+    truncation,
     uniform,
     validate_certificate,
     whirl,
 )
 
+from matroidkit.core import same_rank_function
+from matroidkit.minors import _clique_realization
 from matroidkit.representations import GraphRep
-from oracles import certificate_walk, graph_rank, minor_brute
+from oracles import certificate_walk, graph_rank, is_clique, minor_brute
 from strategies import graph_reps, linear_reps
 
 
@@ -215,6 +220,77 @@ def test_classify_clique_extension_guards():
         classify_clique_extension(uniform(2, 5), 4)  # base is not a clique
     out = classify_clique_extension(uniform(2, 5), 4, check_base=False)
     assert out.reason == "none-of-these"
+    with pytest.raises(DomainError):  # a clique's size and rank, not a clique
+        classify_clique_extension(direct_sum(uniform(3, 6), uniform(1, 1)), 6)
+
+
+# K1 and K2 bases have no triangle to label from; K7 and K8 bases are past
+# the graphic search's element cap, which the clique labelling does not use
+CLIQUE_BASES = [
+    ("k1-loop", uniform(0, 1), 0, "loop", None),
+    ("k1-coloop", direct_sum(clique(1), uniform(1, 1)), 0, "coloop", None),
+    ("k2-parallel", from_graph(2, [(0, 1), (0, 1)]), 1, "parallel", 0),
+    ("k2-coloop", direct_sum(clique(2), uniform(1, 1)), 1, "coloop", None),
+    ("k7-free", free_ext_clique(7), 21, "none-of-these", None),
+    ("k7-coloop", direct_sum(clique(7), uniform(1, 1)), 21, "coloop", None),
+    ("k8-free", free_ext_clique(8), 28, "none-of-these", None),
+    ("k8-coloop", direct_sum(clique(8), uniform(1, 1)), 28, "coloop", None),
+]
+
+
+@pytest.mark.parametrize("name,m,e,reason,witness", CLIQUE_BASES,
+                         ids=[c[0] for c in CLIQUE_BASES])
+def test_classify_clique_extension_small_and_large_bases(name, m, e, reason,
+                                                         witness):
+    out = classify_clique_extension(m, e)
+    assert (out.reason, out.witness) == (reason, witness)
+    assert out.graphic == (reason != "none-of-these")
+
+
+@st.composite
+def clique_shaped_bases(draw):
+    """Matroids of at most 10 elements with the size of a clique: relabelled
+    cliques, cliques with an edge doubled or moved, uniform matroids,
+    truncations and random GF(2)/GF(3) matrices of a clique's rank."""
+    k = draw(st.integers(1, 5))
+    edges = list(itertools.combinations(range(k), 2))
+    n, r = len(edges), k - 1
+    kind = draw(st.sampled_from(("clique", "doubled", "moved", "uniform",
+                                 "truncation", "matrix")))
+    p = draw(st.sampled_from((2, 3)))
+    if kind == "clique":
+        perm = draw(st.permutations(range(k)))
+        return from_graph(k, [(perm[u], perm[v])
+                              for u, v in draw(st.permutations(edges))])
+    if kind == "doubled" and 0 < n < 10:
+        return from_graph(k, edges + [draw(st.sampled_from(edges))])
+    if kind == "moved" and n:
+        i = draw(st.integers(0, n - 1))
+        edges[i] = draw(st.tuples(st.integers(0, k), st.integers(0, k)))
+        return from_graph(k + 1, edges)
+    if kind == "uniform" and n:
+        return uniform(r, n)
+    rows = k if kind == "truncation" else r
+    matrix = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                    max_size=n), min_size=rows, max_size=rows))
+    m = from_matrix(matrix, p) if n else uniform(0, 0)
+    return truncation(m) if kind == "truncation" and m.full_rank() else m
+
+
+@settings(max_examples=200, deadline=None)
+@given(clique_shaped_bases())
+def test_clique_labelling_matches_reference(base):
+    m = direct_sum(base, uniform(1, 1))
+    try:
+        k, pairs = _clique_realization(m, base.size)
+    except PreconditionError:
+        assert not is_clique(base)
+        with pytest.raises(DomainError):
+            classify_clique_extension(m, base.size)
+    else:
+        assert is_clique(base)
+        assert same_rank_function(base, from_graph(k, pairs[:base.size]))
+        assert classify_clique_extension(m, base.size).reason == "coloop"
 
 
 # ---------------------------------------------------------------------------

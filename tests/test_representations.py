@@ -8,6 +8,7 @@ from matroidkit.constructions import (
     n_triangle_signed_rep,
 )
 from matroidkit.errors import DomainError, GroundSetError
+from matroidkit.exchange import deserialize, serialize
 from matroidkit.representations import (
     EvenCycleRep,
     GraphRep,
@@ -157,3 +158,16 @@ def test_blocking_pair_found_and_absent():
 def test_blocking_pair_needs_decorated_graph():
     with pytest.raises(DomainError):
         has_blocking_pair(GraphRep(3, ((0, 1), (1, 2))))
+
+
+def test_decorated_graph_kinds_stay_apart():
+    fields = (3, ((0, 1), (1, 2), (2, 0), (1, 1)), frozenset({0, 3}))
+    ec, sg = EvenCycleRep(*fields), SignedGraphRep(*fields)
+    assert ec != sg
+    for rep in (ec, sg):
+        minor = rep.minor_rep((), (1,))
+        assert type(minor) is type(rep)
+        assert minor == type(rep)(3, ((0, 1), (2, 0), (1, 1)),
+                                  frozenset({0, 2}))
+        back = deserialize(serialize(rep.matroid())).provenance
+        assert type(back) is type(rep) and back == rep

@@ -1,8 +1,10 @@
 """Verification suites (report plumbing) and the command-line workbench."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
@@ -10,11 +12,15 @@ from matroidkit import (
     dump,
     fano,
     growth_table,
+    n_square_even_cycle_rep,
     run_suite,
     suite_names,
     triangle_ext,
+    uniform,
 )
 from matroidkit.cli import main
+
+FROZEN_SUITES = Path(__file__).resolve().parent.parent / "perfbench" / "suites"
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +53,19 @@ def test_report_json_is_worker_invariant():
     assert doc["suite"] == "isomorphisms"
     assert doc["status"] == "pass"
     assert all("runtime" not in chk for chk in doc["checks"])
+
+
+def _without_fingerprint(text: str) -> str:
+    doc = json.loads(text)
+    del doc["fingerprint"]  # library and interpreter versions
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_suite_json_matches_frozen_copy(name):
+    frozen = (FROZEN_SUITES / f"{name}.json").read_text()
+    assert _without_fingerprint(run_suite(name).to_json()) == \
+        _without_fingerprint(frozen)
 
 
 def test_report_runtimes_flag_and_table():
@@ -159,6 +178,88 @@ def test_cli_query_bad_odd_field(tmp_path, capsys):
     assert main(["query", "rank", "--matroid", str(path)]) == 2
     assert capsys.readouterr().err == \
         "error: expected a list of integers (at $.odd)\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["query", "lambda", "--set", "-1"], 2, "elements [-1] not within 0..5"),
+    (["query", "rank", "--set", "99"], 2, "elements [99] not within 0..5"),
+    (["construct", "--family", "clique", "--n", "12"], 3,
+     "ground set size 66 exceeds cap 64"),
+    (["growth-table", "--family", "square", "--n-max", "10"], 3,
+     "ground set size 67 exceeds cap 64"),
+], ids=["negative-id", "id-past-the-end", "clique-over-cap",
+        "growth-over-cap"])
+def test_cli_element_ids_and_ground_set_cap(argv, code, message, tmp_path,
+                                            capsys):
+    if argv[0] == "query":
+        argv = argv[:2] + ["--matroid", _write(tmp_path, "k4.json", clique(4))] \
+            + argv[2:]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        return exc.code
+
+
+_INTS = st.one_of(st.none(), st.integers(-3, 70))
+_ELEMENT_LISTS = st.lists(st.integers(-3, 70), max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+def _options(draw, spec):
+    argv = []
+    for flag, values in spec:
+        value = draw(st.one_of(st.none(), values))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+@st.composite
+def _cli_argvs(draw, paths):
+    command = draw(st.sampled_from(("query", "construct", "growth-table")))
+    if command == "query":
+        query = draw(st.sampled_from((
+            "rank", "epsilon", "lambda", "kappa", "local-conn", "vertical",
+            "tangle", "modular-flat", "blocking-pair")))
+        return ["query", query, f"--matroid={draw(st.sampled_from(paths))}"] \
+            + _options(draw, [("set", _ELEMENT_LISTS), ("x", _ELEMENT_LISTS),
+                              ("y", _ELEMENT_LISTS), ("k", _INTS),
+                              ("order", _INTS)])
+    if command == "construct":
+        family = draw(st.sampled_from((
+            "square", "triangle", "free", "n-square", "n-triangle", "clique",
+            "truncated-clique", "biclique", "uniform", "whirl", "spike",
+            "fano", "pg32", "heptagon")))
+        return ["construct", f"--family={family}"] + _options(
+            draw, [("n", _INTS), ("m", _INTS), ("rank", _INTS), ("r", _INTS)])
+    family = draw(st.sampled_from(("square", "triangle", "circle", "graphic")))
+    return ["growth-table", f"--family={family}"] + _options(
+        draw, [("n-min", _INTS), ("n-max", _INTS)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_matroid_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    return [_write(d, name, m) for name, m in (
+        ("k4.json", clique(4)), ("fano.json", fano()),
+        ("u24.json", uniform(2, 4)),
+        ("ec.json", n_square_even_cycle_rep(3).matroid()))]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_matroid_paths, data,
+                                                    capsys):
+    argv = data.draw(_cli_argvs(fuzz_matroid_paths))
+    assert _exit_code(argv) in (0, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_query_resource_cap(tmp_path, capsys):
