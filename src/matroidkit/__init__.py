@@ -101,7 +101,6 @@ from .tangles import (
     induced_tangle,
     is_tangle,
     tangle_matroid,
-    tangle_rank,
     tangle_tk,
 )
 from .minors import (

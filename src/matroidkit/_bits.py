@@ -52,16 +52,6 @@ def spread(base: int, positions: Iterable[int]) -> np.ndarray:
     return out
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, descending, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def find(parent, x: int) -> int:
     """Root of x in a union-find forest held in a list or dict, halving
     the path on the way up."""

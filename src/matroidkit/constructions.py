@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from ._bits import elements_of, mask_of, popcount
 from .core import (
+    GroundSet,
     Matroid,
     Recipe,
     closure_mask,
@@ -42,6 +43,7 @@ def clique(n: int) -> Matroid:
     """Cycle matroid of the complete graph on n vertices (rank n-1)."""
     if n < 1:
         raise DomainError("clique needs n >= 1")
+    GroundSet(n * (n - 1) // 2)  # refuses over 64 edges before listing them
     return from_graph(n, _pairs(n), name=f"clique({n})")
 
 
@@ -49,6 +51,7 @@ def biclique(m: int, n: int) -> Matroid:
     """Cycle matroid of the complete bipartite graph K(m, n)."""
     if m < 1 or n < 1:
         raise DomainError("biclique needs m, n >= 1")
+    GroundSet(m * n)  # refuses over 64 edges before listing them
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return from_graph(m + n, edges, name=f"biclique({m},{n})")
 

@@ -32,8 +32,6 @@ from .representations import (
 FORMAT_TAG = "matroid-exchange"
 FORMAT_VERSION = 1
 
-_KINDS = ("linear", "graph", "even-cycle", "signed-graph", "recipe")
-
 # Recipe documents may nest their args at most this deep.
 MAX_NESTING = 100
 

@@ -24,7 +24,8 @@ from typing import Optional
 
 from ._bits import elements_of, find, union
 from .constructions import fano, free_ext_clique, square_ext, triangle_ext
-from .core import Matroid, MinorCertificate, minor_with_map, validate_certificate
+from .core import (Matroid, MinorCertificate, _point_classes, minor_with_map,
+                   validate_certificate)
 from .errors import DomainError, PreconditionError, ReductionDidNotClose
 from .isomorphism import is_isomorphic
 from .minors import _clique_realization, classify_clique_extension
@@ -252,19 +253,9 @@ def _child(cur: Matroid, e: int, keep: tuple[int, ...], c_acc: frozenset,
     e_mc = keepc.index(e)
     if classify_clique_extension(mc, e_mc, check_base=False).graphic:
         return None
-    junk = []
-    reps: list[int] = []
-    for x in range(mc.size):
-        if x == e_mc:
-            continue
-        xb = 1 << x
-        if mc.r(xb) == 0:
-            junk.append(x)
-            continue
-        if any(mc.r((1 << y) | xb) == 1 for y in reps):
-            junk.append(x)
-        else:
-            reps.append(x)
+    classes, junk = _point_classes(
+        mc.r, 0, (x for x in range(mc.size) if x != e_mc))
+    junk += [x for cls in classes for x in cls[1:]]
     h2, keep2 = minor_with_map(mc, (), junk)
     keep_out = tuple(keep[keepc[j]] for j in keep2)
     c_out = c_acc | {keep[x] for x in cset}

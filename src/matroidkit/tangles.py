@@ -16,16 +16,10 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import popcount, popcount_table, submasks
-from .core import (
-    Matroid,
-    MinorCertificate,
-    TABLE_CAP,
-    rank_table,
-    validate_rank_axioms,
-)
+from ._bits import popcount, popcount_table
+from .core import Matroid, MinorCertificate, rank_table, validate_rank_axioms
 from .connectivity import connectivity_mask
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -77,11 +71,12 @@ def _maximal_members(in_t: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _family_axioms(m: Matroid, in_fam: np.ndarray, theta: int) -> TangleCheck:
-    """Check the three tangle axioms for a family given as a 2^n flag array."""
+def _family_axioms(m: Matroid, in_fam: np.ndarray, theta: int,
+                   lam: np.ndarray) -> TangleCheck:
+    """Check the three tangle axioms for a family given as a 2^n flag array,
+    where lam is m's lambda table."""
     n = m.size
     full = m.full_mask
-    lam, _ = _lambda_table(m)
     sep = lam < theta - 1
 
     bad = in_fam & ~sep
@@ -120,20 +115,18 @@ def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
     family is either an iterable of masks (taken literally) or a Tangle,
     whose full membership is expanded from its maximal members.
     """
-    n = m.size
-    if n > TABLE_CAP:
-        raise ResourceLimitError(f"tangle checks need |E| <= {TABLE_CAP}")
+    lam, _ = _lambda_table(m)  # refuses an oversized m before any flags
     if isinstance(family, Tangle):
         if family.matroid is not m:
             raise DomainError("tangle belongs to a different matroid")
-        in_fam = _small_flags(family)
+        in_fam = _small_flags(family, lam)
     else:
-        in_fam = np.zeros(1 << n, dtype=bool)
+        in_fam = np.zeros(1 << m.size, dtype=bool)
         for x in family:
             if x < 0 or x > m.full_mask:
                 raise DomainError(f"member mask {x} outside the ground set")
             in_fam[x] = True
-    return _family_axioms(m, in_fam, theta)
+    return _family_axioms(m, in_fam, theta, lam)
 
 
 def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
@@ -145,60 +138,43 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
     """
     if k < 1:
         raise DomainError("tangle order must be positive")
-    n = m.size
-    if n > TABLE_CAP:
-        raise ResourceLimitError(f"tangle sweep needs |E| <= {TABLE_CAP}")
     lam, ranks = _lambda_table(m)
     rm = int(m.full_rank())
-    pc = popcount_table(n).astype(np.int16)
+    pc = popcount_table(m.size).astype(np.int16)
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
     dependent_rest = pc[::-1] > ranks[::-1]
     in_t = (lam < k - 1) & (ranks < rm) & dependent_rest
-    verdict = _family_axioms(m, in_t, k)
+    verdict = _family_axioms(m, in_t, k, lam)
     if not verdict.ok:
         return verdict
-    return Tangle(m, k, _maximal_members(in_t, n))
+    return Tangle(m, k, _maximal_members(in_t, m.size))
 
 
 # ---------------------------------------------------------------------------
 # tangle matroid
 
 
-_RANK_SUBMASK_CAP = 22
-
-
-def tangle_rank_mask(t: Tangle, xmask: int) -> int:
-    """theta-1 if X is in no member; else min lambda over members containing X."""
-    m = t.matroid
-    theta = t.theta
-    best = theta - 1
-    for mx in t.maximal:
-        if xmask & ~mx:
-            continue
-        extra = mx & ~xmask
-        if popcount(extra) > _RANK_SUBMASK_CAP:
-            raise ResourceLimitError("tangle member too large to scan")
-        for s in submasks(extra):
-            lam = connectivity_mask(m, xmask | s)
-            if lam < theta - 1 and lam < best:
-                best = lam
-    return best
-
-
-def tangle_rank(t: Tangle, subset: Iterable[int]) -> int:
-    return tangle_rank_mask(t, t.matroid.mask(subset))
-
-
 def tangle_matroid(t: Tangle) -> Matroid:
-    """Wrap kappa_T as a Matroid of rank theta-1 on the same ground set.
+    """kappa_T as a Matroid of rank theta-1 on t's ground set, backed by its
+    rank table.
 
-    The rank axioms are checked exhaustively when |E| <= 12.
+    kappa_T(X) is theta-1 when X lies in no small set, else the least
+    lambda(Y) over small sets Y containing X: the superset minimum of
+    lambda on small sets and theta-1 elsewhere, built by one pass per
+    element. The rank axioms are checked exhaustively when |E| <= 12.
     """
-    n = t.matroid.size
-    out = Matroid(n, lambda mask: tangle_rank_mask(t, mask),
+    m = t.matroid
+    lam, _ = _lambda_table(m)
+    table = np.where(_small_flags(t, lam), lam, t.theta - 1).astype(np.uint8)
+    for e in range(m.size):
+        v = table.reshape(-1, 2, 1 << e)
+        np.minimum(v[:, 0], v[:, 1], out=v[:, 0])
+    table.setflags(write=False)
+    out = Matroid(m.size, lambda mask: int(table[mask]),
                   name=f"tangle-matroid(order {t.theta})")
-    if n <= 12:
-        validate_rank_axioms(out, cap=n)
+    out._table = table
+    if m.size <= 12:
+        validate_rank_axioms(out)
     return out
 
 
@@ -216,32 +192,35 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     if not cert.validate(m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
-    n = m.size
-    if n > TABLE_CAP:
-        raise ResourceLimitError(f"induced tangle sweep needs |E| <= {TABLE_CAP}")
-
     lam, _ = _lambda_table(m)
-    idx = np.arange(1 << n, dtype=np.int64)
-    trace = np.zeros(1 << n, dtype=np.int64)
-    for t_elem, h_elem in cert.mapping:
-        trace |= ((idx >> h_elem) & 1) << t_elem
-
-    small_n = _small_flags(t_n)
-    in_t = (lam < theta - 1) & small_n[trace]
-    verdict = _family_axioms(m, in_t, theta)
+    small_n = _small_flags(t_n, _lambda_table(target)[0])
+    in_t = (lam < theta - 1) & small_n[_host_trace(m.size, cert.mapping)]
+    verdict = _family_axioms(m, in_t, theta, lam)
     if not verdict.ok:
         raise PreconditionError(
             f"induced family violates tangle axiom {verdict.axiom}; "
             "the given family was not a tangle")
-    return Tangle(m, theta, _maximal_members(in_t, n))
+    return Tangle(m, theta, _maximal_members(in_t, m.size))
 
 
-def _small_flags(t: Tangle) -> np.ndarray:
-    """Membership of every subset of t's ground set, as a 2^n flag array."""
+def _host_trace(n: int, mapping: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The target mask of every host subset's trace X meet E(N), for
+    (target element, host element) pairs: an int32 array of length 2^n
+    indexed by host mask and filled in place by doubling."""
+    weight = [0] * n
+    for t_elem, h_elem in mapping:
+        weight[h_elem] = 1 << t_elem
+    trace = np.empty(1 << n, dtype=np.int32)
+    trace[0] = 0
+    for h, w in enumerate(weight):
+        np.bitwise_or(trace[:1 << h], w, out=trace[1 << h:2 << h])
+    return trace
+
+
+def _small_flags(t: Tangle, lam: np.ndarray) -> np.ndarray:
+    """Membership of every subset of t's ground set, as a 2^n flag array,
+    where lam is t.matroid's lambda table."""
     n = t.matroid.size
-    if n > TABLE_CAP:
-        raise ResourceLimitError("tangle ground set too large to tabulate")
-    lam, _ = _lambda_table(t.matroid)
     under = np.zeros(1 << n, dtype=bool)
     under[list(t.maximal)] = True
     for e in range(n):  # close downward: a set is under a member if X + e is

@@ -184,3 +184,48 @@ def is_clique(m) -> bool:
            for e, f in itertools.combinations(range(n), 2)):
         return False
     return n == r * (r + 1) // 2 and is_graphic(m) is not None
+
+
+def tangle_rank_walk(t, xmask: int) -> int:
+    """kappa_T(X): theta - 1, lowered to the least lambda(Y) < theta - 1 over
+    every Y with X <= Y <= M for a maximal member M, walking the submasks
+    of M - X one by one."""
+    m, best = t.matroid, t.theta - 1
+    for mx in t.maximal:
+        if xmask & ~mx:
+            continue
+        extra = mx & ~xmask
+        sub = extra
+        while True:
+            best = min(best, lam(m, xmask | sub))
+            if sub == 0:
+                break
+            sub = (sub - 1) & extra
+    return best
+
+
+def rank_axioms_hold(m) -> bool:
+    """r(empty) = 0, 0 <= r(X + e) - r(X) <= 1, and r(X | Y) + r(X & Y) <=
+    r(X) + r(Y) for every pair of subsets X, Y: O(4^n) rank reads."""
+    n = m.size
+    r = [m.r(x) for x in range(1 << n)]
+    if r[0] != 0:
+        return False
+    for x in range(1 << n):
+        for e in range(n):
+            if not 0 <= r[x | 1 << e] - r[x] <= 1:
+                return False
+        for y in range(1 << n):
+            if r[x | y] + r[x & y] > r[x] + r[y]:
+                return False
+    return True
+
+
+def trace_shift(n: int, mapping) -> np.ndarray:
+    """Target mask of every host subset's trace, for (target element, host
+    element) pairs, by shifting bits of an int64 index array."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    trace = np.zeros(1 << n, dtype=np.int64)
+    for t_elem, h_elem in mapping:
+        trace |= ((idx >> h_elem) & 1) << t_elem
+    return trace

@@ -211,7 +211,7 @@ def test_criterion_10_property_batteries():
     # rank axioms
     for i in range(40):
         m = draw_linear() if i % 2 else draw_graph()
-        validate_rank_axioms(m, cap=m.size)
+        validate_rank_axioms(m)
 
     # duality involution
     for _ in range(25):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -26,7 +27,7 @@ from matroidkit.constructions import (
     whirl,
 )
 from matroidkit.core import validate_rank_axioms
-from matroidkit.errors import DomainError, PreconditionError
+from matroidkit.errors import DomainError, PreconditionError, ResourceLimitError
 from oracles import eps_oracle
 
 
@@ -58,6 +59,20 @@ def test_biclique_shape():
     assert m.size == 12
     assert m.full_rank() == 6
     assert epsilon(m) == 12
+
+
+@pytest.mark.parametrize("build", [lambda: clique(1000),
+                                   lambda: biclique(300, 400)],
+                         ids=["clique1000", "biclique300x400"])
+def test_edge_cap_refuses_before_listing_edges(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_uniform_and_whirl():

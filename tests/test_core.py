@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matroidkit import (
     Matroid,
@@ -30,7 +31,8 @@ from matroidkit.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from oracles import eps_oracle
+from conftest import random_graph, random_linear
+from oracles import eps_oracle, rank_axioms_hold
 
 from matroidkit.constructions import n_square, spike, triangle_ext
 
@@ -132,7 +134,26 @@ def test_validate_rank_axioms_rejects_bad_oracle():
     with pytest.raises(PreconditionError):
         validate_rank_axioms(Matroid(3, not_submodular))
     with pytest.raises(ResourceLimitError):
-        validate_rank_axioms(clique(7))
+        validate_rank_axioms(clique(8))  # 28 elements, over the table cap
+    validate_rank_axioms(clique(7))  # 21 elements, within it
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.data())
+def test_validate_rank_axioms_agrees_with_the_pairwise_loop(rng, linear, data):
+    m = random_linear(rng) if linear else random_graph(rng)
+    ranks = rank_table(m).tolist()
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(0, len(ranks) - 1), label="subset")
+        ranks[i] += data.draw(st.sampled_from((-1, 1)), label="shift")
+        assume(ranks[i] >= 0)
+    bare = Matroid(len(ranks).bit_length() - 1, ranks.__getitem__)
+    try:
+        validate_rank_axioms(bare)
+        accepted = True
+    except PreconditionError:
+        accepted = False
+    assert accepted == rank_axioms_hold(bare)
 
 
 def test_rank_table_agrees_with_oracle():

@@ -1,8 +1,9 @@
-"""Every name imported into a package module is used there.
+"""Every name imported into a package module is used there, and every
+private module-level name is referenced somewhere in the package.
 
 The package's __init__ imports names only to re-export them, so it is
-skipped. A name counts as used when it appears as an identifier anywhere in
-the module, annotations included.
+skipped by the import check. A name counts as used when it appears as an
+identifier anywhere in the module, annotations included.
 """
 
 import ast
@@ -38,3 +39,48 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom x import y, z as w\nprint(y)\n")
     assert _unused_imports(tree) == ["os (line 1)", "w (line 2)"]
+
+
+def _private_definitions(path: Path) -> list[str]:
+    """Module-level names defined in path that are private: named with a
+    leading underscore, or defined in a private module such as _bits."""
+    tree = ast.parse(path.read_text())
+    private_module = path.stem.startswith("_") and not path.stem.startswith("__")
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")
+            and (private_module or name.startswith("_"))]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name tree reads, as a bare name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_name_is_referenced():
+    paths = sorted(Path(matroidkit.__file__).parent.glob("*.py"))
+    used = set().union(*(_references(ast.parse(p.read_text())) for p in paths))
+    orphans = [f"{p.name}:{name}" for p in paths
+               for name in _private_definitions(p) if name not in used]
+    assert orphans == []
+
+
+def test_orphaned_private_name_is_reported(tmp_path):
+    path = tmp_path / "_helpers.py"
+    path.write_text("_A = 1\nB = 2\n\ndef c():\n    return B\n")
+    assert _private_definitions(path) == ["_A", "B", "c"]
+    refs = _references(ast.parse(path.read_text()))
+    assert [n for n in _private_definitions(path) if n not in refs] == ["_A", "c"]

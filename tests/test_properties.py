@@ -43,7 +43,7 @@ def graph_matroids(draw, max_vertices=5, max_edges=8):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(linear_matroids(), graph_matroids()))
 def test_rank_axioms_hold(m):
-    validate_rank_axioms(m, cap=m.size)
+    validate_rank_axioms(m)
 
 
 @settings(max_examples=50, deadline=None)

@@ -185,9 +185,11 @@ def test_cli_query_bad_odd_field(tmp_path, capsys):
     (["query", "rank", "--set", "99"], 2, "elements [99] not within 0..5"),
     (["construct", "--family", "clique", "--n", "12"], 3,
      "ground set size 66 exceeds cap 64"),
+    (["construct", "--family", "clique", "--n", "1000"], 3,
+     "ground set size 499500 exceeds cap 64"),
     (["growth-table", "--family", "square", "--n-max", "10"], 3,
      "ground set size 67 exceeds cap 64"),
-], ids=["negative-id", "id-past-the-end", "clique-over-cap",
+], ids=["negative-id", "id-past-the-end", "clique-over-cap", "clique1000",
         "growth-over-cap"])
 def test_cli_element_ids_and_ground_set_cap(argv, code, message, tmp_path,
                                             capsys):

@@ -32,7 +32,7 @@ from matroidkit import (
 from matroidkit._bits import elements_of, popcount_table
 from matroidkit.core import Matroid, closure_mask
 from matroidkit.representations import GraphRep, LinearRep
-from matroidkit.tangles import Tangle, _small_flags
+from matroidkit.tangles import Tangle, _lambda_table, _small_flags
 
 from oracles import gf_rank, graph_rank, lam
 from test_minor_reps import decorated_reps
@@ -113,7 +113,8 @@ def test_small_flags_match_per_member_definition(m, data):
     for mx in maximal:
         under |= (idx & ~mx) == 0
     separating = np.array([lam(m, x) < theta - 1 for x in range(1 << n)])
-    assert np.array_equal(_small_flags(t), separating & under)
+    assert np.array_equal(_small_flags(t, _lambda_table(m)[0]),
+                          separating & under)
 
 
 @st.composite

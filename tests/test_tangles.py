@@ -1,6 +1,8 @@
 """Tangle families, axiom checking, tangle matroids, induced tangles."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
@@ -11,13 +13,15 @@ from matroidkit import (
     direct_sum,
     find_clique_minor,
     is_tangle,
+    rank_table,
     tangle_matroid,
-    tangle_rank,
     tangle_tk,
     uniform,
     validate_rank_axioms,
 )
-from matroidkit.tangles import TangleCheck, tangle_rank_mask
+from matroidkit.tangles import TangleCheck, _host_trace
+from conftest import random_graph, random_linear
+from oracles import tangle_rank_walk, trace_shift
 
 
 # maximal-member counts of T_k(M(K_n)) at the clique tangle order
@@ -101,14 +105,14 @@ def test_tangle_order_and_size_limits():
 def test_tangle_rank_endpoints_and_matroid():
     t = tangle_tk(clique(5), 3)
     m = t.matroid
-    assert tangle_rank_mask(t, 0) == 0
-    assert tangle_rank_mask(t, m.full_mask) == t.theta - 1
-    assert tangle_rank(t, [0]) <= t.theta - 1
-
     tm = tangle_matroid(t)  # n = 10 <= 12, validated on construction
+    assert tm.r(0) == 0
+    assert tm.r(m.full_mask) == t.theta - 1
+    assert tm.rank([0]) <= t.theta - 1
+
     assert tm.size == m.size
     assert tm.rank() == t.theta - 1
-    validate_rank_axioms(tm, cap=tm.size)
+    validate_rank_axioms(tm)
 
 
 def test_clique_minor_tangle_on_host():
@@ -121,3 +125,37 @@ def test_clique_minor_tangle_on_host():
     assert is_tangle(host, t, t.theta).ok
     with pytest.raises(DomainError):
         clique_minor_tangle(host, cert, 1)
+
+
+def _random_matroid(rng, linear, max_elements):
+    if linear:
+        return random_linear(rng, max_rows=4, max_cols=max_elements,
+                             min_cols=max_elements // 2)
+    return random_graph(rng, max_vertices=6, max_edges=max_elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_tangle_matroid_table_matches_the_submask_walk(rng, linear):
+    m = _random_matroid(rng, linear, 12)
+    tangles = [t for k in range(1, 6)
+               if isinstance(t := tangle_tk(m, k), Tangle)]
+    # a subset of a member of T_k is never more connected than the member,
+    # so only a tangle like this induced one, whose members include
+    # components off its clique minor, needs the superset minimum
+    host = direct_sum(clique(4), _random_matroid(rng, linear, 6))
+    tangles.append(clique_minor_tangle(host, find_clique_minor(host, 3), 3))
+    for t in tangles:
+        walk = [tangle_rank_walk(t, x) for x in range(1 << t.matroid.size)]
+        assert rank_table(tangle_matroid(t)).tolist() == walk
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(0, n))))
+def test_host_trace_matches_the_shift_form(case):
+    n, hosts, k = case
+    mapping = list(enumerate(hosts[:k]))
+    trace = _host_trace(n, mapping)
+    assert trace.dtype == np.int32
+    assert np.array_equal(trace, trace_shift(n, mapping))
