@@ -40,15 +40,17 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
-def spread(base: int, positions: Iterable[int]) -> np.ndarray:
-    """base with bit i of s moved to positions[i], for every s below
-    2^len(positions): an int32 array indexed by s and filled in place by
-    doubling. It ascends when the positions ascend and miss base."""
-    positions = tuple(positions)
-    out = np.empty(1 << len(positions), dtype=np.int32)
+def spread(base: int, weights: Iterable[int]) -> np.ndarray:
+    """The 2^k masks built from base and k weights: mask s is base ORed
+    with weights[i] for each set bit i of s, filled in place by doubling.
+    int32 when every mask is below 2^31, uint64 otherwise. The masks
+    ascend when the weights are ascending single bits that miss base."""
+    weights = tuple(weights)
+    wide = max((base, *weights)) >> 31  # then some mask reaches bit 31
+    out = np.empty(1 << len(weights), dtype=np.uint64 if wide else np.int32)
     out[0] = base
-    for i, pos in enumerate(positions):
-        np.bitwise_or(out[:1 << i], 1 << pos, out=out[1 << i:2 << i])
+    for i, w in enumerate(weights):
+        np.bitwise_or(out[:1 << i], w, out=out[1 << i:2 << i])
     return out
 
 

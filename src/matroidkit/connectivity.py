@@ -1,8 +1,10 @@
 """Connectivity invariants: lambda, local connectivity, kappa between sets,
 Tutte linking minors, vertical connectivity, and modular flats.
 
-kappa is exact brute force over the free lattice; every optimized path in
-the package is tested against it, never the other way around.
+kappa is exhaustive over the free lattice: it reads lambda of every set
+between X and E-Y from the rank table (through the oracle when there is
+none) and keeps the least minimizer. Its tests check it against the plain
+submask walk in tests/oracles.py (kappa_brute).
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import bits, elements_of, spread
+from ._bits import bits, elements_of, popcount, spread
 from .core import (
     Matroid,
     MinorCertificate,
     TABLE_CAP,
+    _built_table,
     closure_mask,
     minor_with_map,
-    rank_table,
 )
 from .errors import DomainError, ResourceLimitError
 
@@ -54,9 +56,6 @@ class SeparationCertificate:
     kind: str
 
 
-_KAPPA_FREE_CAP = 22
-
-
 def kappa(m: Matroid, a: Iterable[int], b: Iterable[int],
           ) -> tuple[int, SeparationCertificate]:
     """Minimum of lambda(Z) over X <= Z <= E-Y, with a witness.
@@ -72,41 +71,25 @@ def kappa(m: Matroid, a: Iterable[int], b: Iterable[int],
 
 
 def _kappa_masks(m: Matroid, x: int, y: int) -> tuple[int, int]:
+    """The least lambda over X <= Z <= E-Y and the least Z attaining it,
+    read over every Z at once: from m's rank table when it has one, else
+    through m's oracle."""
     free = m.full_mask & ~(x | y)
-    positions = list(bits(free))
-    f = len(positions)
-    if f > _KAPPA_FREE_CAP:
+    f = popcount(free)
+    if f > TABLE_CAP:
         raise ResourceLimitError(
-            f"kappa is exhaustive over 2^{f} sets; cap is 2^{_KAPPA_FREE_CAP}"
-        )
-    full = m.full_mask
-    rm = m.full_rank()
-
-    if f > 16 and m.size <= TABLE_CAP:
-        table = rank_table(m)
-        z = spread(x, positions)
+            f"kappa is exhaustive over 2^{f} sets; cap is 2^{TABLE_CAP}")
+    z = spread(x, [1 << e for e in bits(free)])  # ascending
+    table = _built_table(m)
+    if table is not None:
         lam = table[z].astype(np.int16)
-        z ^= full  # the complements, in place
-        lam += table[z]
-        lam -= rm
-        i = int(np.argmin(lam))  # z ascended, so argmin is the least mask
-        return int(lam[i]), int(z[i]) ^ full
-
-    best = rm + 1
-    best_z = x
-    for s in range(1 << f):
-        z = x
-        ss = s
-        while ss:
-            low = ss & -ss
-            z |= 1 << positions[low.bit_length() - 1]
-            ss ^= low
-        lam = m.r(z) + m.r(full ^ z) - rm
-        if lam < best:
-            best, best_z = lam, z
-            if best == 0:
-                break
-    return best, best_z
+        lam += table[::-1][z]  # r(E - Z)
+    else:
+        full = m.full_mask
+        lam = np.fromiter((m.r(v) + m.r(full ^ v) for v in z.tolist()),
+                          np.int16, len(z))
+    i = int(np.argmin(lam))  # z ascends, so argmin is the least mask
+    return int(lam[i]) - m.full_rank(), int(z[i])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ _CACHE_LIMIT = 1 << 20
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
 TABLE_CAP = 22
 
+# Targets over this many elements are not validated: validation reads
+# 2^|E(target)| host subsets.
+CERTIFICATE_CAP = 20
+
 # Scratch bytes one rank-table builder may allocate. A builder whose
 # workspace would exceed it returns None before allocating, and rank_table
 # walks the oracle instead.
@@ -126,7 +130,7 @@ class Recipe:
             cmask = mask_of(params["contract"])
             gone = cmask | mask_of(params["delete"])
             keep = [e for e in range(args[0].size) if not (gone >> e) & 1]
-            out = t[spread(cmask, keep)]
+            out = t[spread(cmask, [1 << e for e in keep])]
             out -= t[cmask]
             return out
         return None
@@ -405,25 +409,27 @@ class MinorCertificate:
     delete: frozenset[int]
     mapping: tuple[tuple[int, int], ...]
 
-    def validate(self, host: Matroid, target: Matroid,
-                 exhaustive_limit: int = 20) -> bool:
-        return validate_certificate(self, host, target, exhaustive_limit)
+    def validate(self, host: Matroid, target: Matroid) -> bool:
+        return validate_certificate(self, host, target)
 
 
 def validate_certificate(cert: MinorCertificate, host: Matroid,
-                         target: Matroid, exhaustive_limit: int = 20) -> bool:
+                         target: Matroid) -> bool:
     """Check a minor certificate by exhaustive rank agreement.
 
     Verifies the contract/delete/image partition of E(host) and that the
     target's rank table equals r(C + image(X)) - r(C) over every target
     subset X, read through the host's own oracle (never through a
     representation of the minor or the host's table). A bijection is the
-    certificate with nothing contracted or deleted.
+    certificate with nothing contracted or deleted. A target over
+    CERTIFICATE_CAP elements raises ResourceLimitError.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
     pairs = dict(cert.mapping)
     if len(pairs) != target.size or set(pairs) != set(range(target.size)):
+        return False
+    if any(not 0 <= h < host.size for h in pairs.values()):
         return False
     image = mask_of(pairs.values())
     if popcount(image) != target.size:
@@ -432,16 +438,14 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
         return False
     if (cmask | dmask | image) != host.full_mask:
         return False
-    if target.size > exhaustive_limit:
+    if target.size > CERTIFICATE_CAP:
         raise ResourceLimitError(
             f"certificate validation is exhaustive; target has {target.size} "
-            f"> {exhaustive_limit} elements"
+            f"> {CERTIFICATE_CAP} elements"
         )
-    masks = [cmask]  # C + image(x) for every target subset x, by doubling
-    for t in range(target.size):
-        bit = 1 << pairs[t]
-        masks += [x | bit for x in masks]
-    ranks = np.fromiter(map(host.r, masks), np.int16, len(masks))
+    # C + image(X) for every target subset X
+    masks = spread(cmask, [1 << pairs[t] for t in range(target.size)])
+    ranks = np.fromiter(map(host.r, masks.tolist()), np.int16, len(masks))
     ranks -= host.r(cmask)
     return np.array_equal(ranks, rank_table(target))
 

@@ -98,7 +98,7 @@ def _need(obj: dict, key: str, types, loc: str):
     if key not in obj:
         raise FormatError(f"missing field {key!r}", location=loc)
     v = obj[key]
-    if not isinstance(v, types):
+    if not isinstance(v, types) or types is int and isinstance(v, bool):
         raise FormatError(f"field {key!r} has wrong type", location=f"{loc}.{key}")
     return v
 
@@ -136,6 +136,9 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
     if kind == "linear":
         prime = _need(obj, "prime", int, loc)
         n_cols = _need(obj, "n_columns", int, loc)
+        if n_cols < 0:
+            raise FormatError("field 'n_columns' is negative",
+                              location=f"{loc}.n_columns")
         rows = _need(obj, "rows", list, loc)
         matrix = []
         for i, row in enumerate(rows):
@@ -249,8 +252,9 @@ def deserialize(text: str) -> Matroid:
         raise FormatError("document must be an object", location="$")
     if doc.get("format") != FORMAT_TAG:
         raise FormatError(f"format tag must be {FORMAT_TAG!r}", location="$.format")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {doc.get('version')!r}",
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {version!r}",
                           location="$.version")
     body = {k: v for k, v in doc.items() if k not in ("format", "version")}
     return _build(body, "$")

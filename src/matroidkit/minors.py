@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from ._bits import bits, elements_of, find, mask_of
 from .core import (
+    CERTIFICATE_CAP,
     Matroid,
     MinorCertificate,
     _built_table,
@@ -47,8 +48,8 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
     m's ranks are read from its rank table when it is cached or m's
     provenance builds it, else from m's oracle. With validate, a
     certificate is checked against m's own oracle before it is returned,
-    but only when the target has at most 20 elements: for a larger target
-    the check is skipped without notice.
+    but only when the target has at most CERTIFICATE_CAP elements: for a
+    larger target the check is skipped without notice.
     """
     if m.size > size_cap:
         raise ResourceLimitError(
@@ -71,7 +72,7 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
             continue
         cert = _embed_restriction(m, r, cmask, t_si, t_classes, t_loops)
         if cert is not None:
-            if validate and target.size <= 20:
+            if validate and target.size <= CERTIFICATE_CAP:
                 if not cert.validate(m, target):
                     raise RuntimeError(
                         "minor search built an invalid certificate")

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import popcount, popcount_table
+from ._bits import popcount, popcount_table, spread
 from .core import Matroid, MinorCertificate, rank_table, validate_rank_axioms
 from .connectivity import connectivity_mask
 from .errors import DomainError, PreconditionError
@@ -194,27 +194,17 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     theta = t_n.theta
     lam, _ = _lambda_table(m)
     small_n = _small_flags(t_n, _lambda_table(target)[0])
-    in_t = (lam < theta - 1) & small_n[_host_trace(m.size, cert.mapping)]
+    weight = [0] * m.size  # host element h carries target bit weight[h]
+    for t_elem, h_elem in cert.mapping:
+        weight[h_elem] = 1 << t_elem
+    # the target mask of every host subset's trace X meet E(N)
+    in_t = (lam < theta - 1) & small_n[spread(0, weight)]
     verdict = _family_axioms(m, in_t, theta, lam)
     if not verdict.ok:
         raise PreconditionError(
             f"induced family violates tangle axiom {verdict.axiom}; "
             "the given family was not a tangle")
     return Tangle(m, theta, _maximal_members(in_t, m.size))
-
-
-def _host_trace(n: int, mapping: Iterable[tuple[int, int]]) -> np.ndarray:
-    """The target mask of every host subset's trace X meet E(N), for
-    (target element, host element) pairs: an int32 array of length 2^n
-    indexed by host mask and filled in place by doubling."""
-    weight = [0] * n
-    for t_elem, h_elem in mapping:
-        weight[h_elem] = 1 << t_elem
-    trace = np.empty(1 << n, dtype=np.int32)
-    trace[0] = 0
-    for h, w in enumerate(weight):
-        np.bitwise_or(trace[:1 << h], w, out=trace[1 << h:2 << h])
-    return trace
 
 
 def _small_flags(t: Tangle, lam: np.ndarray) -> np.ndarray:

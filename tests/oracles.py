@@ -72,19 +72,26 @@ def lam(m, z: int) -> int:
     return m.r(z) + m.r(m.full_mask & ~z) - m.full_rank()
 
 
-def kappa_brute(m, xs, ys) -> int:
-    """Minimum lambda over every Z with X <= Z <= E - Y. No pruning."""
+def _kappa_sides(m, xs, ys):
+    """Every Z with X <= Z <= E - Y, by walking the submasks of E - X - Y."""
     xm, ym = m.mask(xs), m.mask(ys)
     free = m.full_mask & ~(xm | ym)
-    best = None
     sub = free
     while True:
-        v = lam(m, xm | sub)
-        best = v if best is None else min(best, v)
+        yield xm | sub
         if sub == 0:
-            break
+            return
         sub = (sub - 1) & free
-    return best
+
+
+def kappa_brute(m, xs, ys) -> int:
+    """Minimum lambda over every Z with X <= Z <= E - Y. No pruning."""
+    return min(lam(m, z) for z in _kappa_sides(m, xs, ys))
+
+
+def least_kappa_witness(m, xs, ys, value: int) -> int:
+    """The least Z with X <= Z <= E - Y and lambda(Z) = value."""
+    return min(z for z in _kappa_sides(m, xs, ys) if lam(m, z) == value)
 
 
 def minor_brute(host, target) -> bool:

@@ -176,11 +176,45 @@ def test_certificate_validation_and_tampering():
 
 
 def test_certificate_exhaustive_limit():
-    host = clique(6)
+    host = clique(7)  # 21 elements, one over CERTIFICATE_CAP
     cert = MinorCertificate(frozenset(), frozenset(),
                             tuple((i, i) for i in range(host.size)))
     with pytest.raises(ResourceLimitError):
-        validate_certificate(cert, host, host, exhaustive_limit=10)
+        validate_certificate(cert, host, host)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 64])
+def test_certificate_naming_a_host_element_out_of_range_is_rejected(bad):
+    cert = MinorCertificate(frozenset(), frozenset(),
+                            ((0, bad), (1, 1), (2, 2)))
+    assert not validate_certificate(cert, clique(3), clique(3))
+
+
+def _k9_edge(u, v):
+    # clique(n) lists its edges (u, v), u < v, in lexicographic order
+    return sum(8 - i for i in range(u)) + v - u - 1
+
+
+def test_certificate_on_a_host_over_31_elements():
+    # clique(5) as the restriction of clique(9) to vertices 4..8, whose
+    # edges are host elements 26..35: their subset masks need 36 bits
+    host, target = clique(9), clique(5)
+    pairs = [(i, _k9_edge(u + 4, v + 4)) for i, (u, v) in
+             enumerate((u, v) for u in range(5) for v in range(u + 1, 5))]
+    assert max(h for _, h in pairs) == 35 == host.size - 1
+    image = {h for _, h in pairs}
+    delete = frozenset(range(host.size)) - image
+    cert = MinorCertificate(frozenset(), delete, tuple(pairs))
+    assert validate_certificate(cert, host, target)
+    # contracting a deleted edge with one end off the clique changes nothing
+    moved = MinorCertificate(frozenset({_k9_edge(3, 4)}),
+                             delete - {_k9_edge(3, 4)}, tuple(pairs))
+    assert validate_certificate(moved, host, target)
+    # swapping the images of two disjoint edges is no isomorphism
+    swapped = dict(pairs)
+    swapped[0], swapped[9] = swapped[9], swapped[0]
+    bad = MinorCertificate(frozenset(), delete, tuple(swapped.items()))
+    assert not validate_certificate(bad, host, target)
 
 
 def test_kung_bound_tight_on_fano():

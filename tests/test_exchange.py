@@ -91,6 +91,25 @@ def test_negative_vertex_count_is_a_format_error(kind):
     assert _loc(json.dumps(doc)) == "$"
 
 
+_GRAPH = {"format": "matroid-exchange", "version": 1, "kind": "graph",
+          "n_vertices": 2, "edges": [[0, 1]]}
+_LINEAR = {"format": "matroid-exchange", "version": 1, "kind": "linear",
+           "prime": 2, "n_columns": 1, "rows": [[1]]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (dict(_GRAPH, version=True), "$.version"),
+    (dict(_GRAPH, version=1.0), "$.version"),
+    (dict(_GRAPH, n_vertices=True), "$.n_vertices"),
+    (dict(_LINEAR, n_columns=True), "$.n_columns"),
+    (dict(_LINEAR, n_columns=-3, rows=[]), "$.n_columns"),
+    (dict(_LINEAR, prime=True), "$.prime"),
+], ids=["version-true", "version-float", "n-vertices-true", "n-columns-true",
+        "n-columns-negative", "prime-true"])
+def test_malformed_integer_fields_are_format_errors(doc, where):
+    assert _loc(json.dumps(doc)) == where
+
+
 @pytest.mark.parametrize("kind", ["even-cycle", "signed-graph"])
 def test_bad_odd_field_reports_its_location_once(kind):
     doc = {"format": "matroid-exchange", "version": 1, "kind": kind,

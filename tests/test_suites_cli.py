@@ -9,16 +9,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from matroidkit import (
     DomainError,
     clique,
+    dual,
     dump,
     fano,
     growth_table,
+    minor_with_map,
     n_square_even_cycle_rep,
+    n_triangle_signed_rep,
     run_suite,
     suite_names,
     triangle_ext,
     uniform,
 )
 from matroidkit.cli import main
+from matroidkit.exchange import serialize
 
 FROZEN_SUITES = Path(__file__).resolve().parent.parent / "perfbench" / "suites"
 
@@ -261,6 +265,83 @@ def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_matroid_paths, data,
                                                     capsys):
     argv = data.draw(_cli_argvs(fuzz_matroid_paths))
     assert _exit_code(argv) in (0, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("version", True), ("version", 1.0), ("n_vertices", True)])
+def test_cli_query_malformed_integer_field(field, value, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "graph", "n_vertices": 2,
+                                "edges": [[0, 1]], field: value}))
+    assert main(["query", "rank", "--matroid", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f"(at $.{field})\n")
+
+
+_FUZZ_DOCUMENTS = [serialize(m) for m in (
+    clique(4), fano(), n_square_even_cycle_rep(3).matroid("ec"),
+    n_triangle_signed_rep(3).matroid("sg"), dual(uniform(2, 4)),
+    minor_with_map(clique(4), [0], [5])[0])]
+_FIELDS = ("format", "version", "kind", "name", "prime", "n_columns", "rows",
+           "n_vertices", "edges", "odd", "op", "args", "params", "r", "n",
+           "contract", "delete", "flat")
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 70),
+    st.floats(-5, 70, allow_nan=False), st.text(max_size=4),
+    st.sampled_from(("matroid-exchange", "linear", "graph", "even-cycle",
+                     "signed-graph", "recipe", "dual", "minor", "uniform",
+                     "whirl", "direct-sum", "truncation")))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid exchange document with one to three values replaced, keys
+    deleted or entries added anywhere in its tree, sometimes cut short."""
+    doc = json.loads(draw(st.sampled_from(_FUZZ_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        action = draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_FIELDS))] = draw(_JSON_VALUES)
+        elif isinstance(node, list):
+            node.append(draw(_JSON_VALUES))
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_documents())
+def test_cli_exchange_fuzz_keeps_the_exit_code_contract(text, tmp_path,
+                                                         capsys):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    assert main(["query", "rank", "--matroid", str(path)]) in (0, 2, 3), text
     assert "Traceback" not in capsys.readouterr().err
 
 

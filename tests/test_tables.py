@@ -3,10 +3,16 @@
 Each fast path (the doubling DP for graph, GF(p) and decorated-graph
 tables, the array transforms for recipe tables, table equality in
 same_rank_function, the subset-closure sweep in tangle membership, the
-vectorized kappa sweep) is compared with the subset-by-subset definition
-it replaces.
+kappa sweep over table gathers) is compared with the subset-by-subset
+definition it replaces. kappa is also compared with itself on the bare
+oracle of the same matroid, which takes the oracle branch of the same
+sweep, including on ground sets too large for a table. The mask families
+all of these sweeps read come from _bits.spread, which is compared with
+the bit-by-bit shift form.
 """
 
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -29,12 +35,12 @@ from matroidkit import (
     uniform,
     whirl,
 )
-from matroidkit._bits import elements_of, popcount_table
+from matroidkit._bits import elements_of, popcount_table, spread
 from matroidkit.core import Matroid, closure_mask
 from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _lambda_table, _small_flags
 
-from oracles import gf_rank, graph_rank, lam
+from oracles import gf_rank, graph_rank, kappa_brute, lam, least_kappa_witness
 from test_minor_reps import decorated_reps
 from test_properties import graph_matroids, linear_matroids
 
@@ -305,3 +311,69 @@ def test_vectorized_kappa_matches_least_minimizer_loop():
                 best = (value, z)
     value, cert = kappa(m, [4], [12])
     assert (value, sum(1 << e for e in cert.side)) == best
+
+
+@st.composite
+def spread_cases(draw):
+    """A base and weights, all below 2^31 or all below 2^64; zero weights
+    and single bits up to 63 both occur."""
+    width = draw(st.sampled_from((31, 64)))
+    bit = st.integers(0, width - 1).map(lambda b: 1 << b)
+    word = st.one_of(st.just(0), bit, st.integers(0, (1 << width) - 1))
+    return draw(word), draw(st.lists(word, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cases())
+def test_spread_matches_the_shift_form(case):
+    base, weights = case
+    out = spread(base, weights)
+    expected = [functools.reduce(
+        operator.or_, (w for i, w in enumerate(weights) if (s >> i) & 1), base)
+        for s in range(1 << len(weights))]
+    assert out.tolist() == expected
+    assert out.dtype == (np.int32 if max(expected) < 1 << 31 else np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.sets(st.integers(0, 63), max_size=8))
+def test_spread_ascends_over_single_bits_that_miss_the_base(base, positions):
+    weights = [1 << p for p in sorted(positions) if not (base >> p) & 1]
+    out = spread(base, weights).tolist()
+    assert all(a < b for a, b in zip(out, out[1:]))
+
+
+@st.composite
+def kappa_cases(draw):
+    """A GF(2), GF(3) or graph matroid with disjoint sides X and Y."""
+    m = draw(st.one_of(linear_matroids(), graph_matroids()))
+    roles = draw(st.lists(st.sampled_from("xyf"), min_size=m.size,
+                          max_size=m.size))
+    return (m, [e for e, r in enumerate(roles) if r == "x"],
+            [e for e, r in enumerate(roles) if r == "y"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappa_cases())
+def test_kappa_on_tables_matches_its_bare_oracle_twin(case):
+    m, xs, ys = case
+    value, cert = kappa(m, xs, ys)
+    assert kappa(Matroid(m.size, m._rank_mask), xs, ys) == (value, cert)
+    assert value == kappa_brute(m, xs, ys)
+    assert m.mask(cert.side) == least_kappa_witness(m, xs, ys, value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(33, 64), st.integers(0, 10),
+       st.randoms(use_true_random=False))
+def test_kappa_on_wide_bare_oracles_matches_the_brute_walk(n, f, rnd):
+    # no table: every mask from bit 31 up travels in the uint64 branch
+    rows = [[rnd.randrange(2) for _ in range(n)]
+            for _ in range(rnd.randint(1, 6))]
+    m = Matroid(n, from_matrix(rows, 2)._rank_mask)
+    free = set(rnd.sample(range(n), f))
+    xs = [e for e in range(n) if e not in free and rnd.random() < 0.5]
+    ys = [e for e in range(n) if e not in free and e not in xs]
+    value, cert = kappa(m, xs, ys)
+    assert value == kappa_brute(m, xs, ys)
+    assert m.mask(cert.side) == least_kappa_witness(m, xs, ys, value)

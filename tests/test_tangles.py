@@ -19,7 +19,8 @@ from matroidkit import (
     uniform,
     validate_rank_axioms,
 )
-from matroidkit.tangles import TangleCheck, _host_trace
+from matroidkit._bits import spread
+from matroidkit.tangles import TangleCheck
 from conftest import random_graph, random_linear
 from oracles import tangle_rank_walk, trace_shift
 
@@ -156,6 +157,9 @@ def test_tangle_matroid_table_matches_the_submask_walk(rng, linear):
 def test_host_trace_matches_the_shift_form(case):
     n, hosts, k = case
     mapping = list(enumerate(hosts[:k]))
-    trace = _host_trace(n, mapping)
+    weights = [0] * n
+    for t_elem, h_elem in mapping:
+        weights[h_elem] = 1 << t_elem
+    trace = spread(0, weights)
     assert trace.dtype == np.int32
     assert np.array_equal(trace, trace_shift(n, mapping))
