@@ -1,28 +1,20 @@
 """Connectivity invariants: lambda, local connectivity, kappa between sets,
 Tutte linking minors, vertical connectivity, and modular flats.
 
-kappa is exhaustive over the free lattice: it reads lambda of every set
-between X and E-Y from the rank table (through the oracle when there is
-none) and keeps the least minimizer. Its tests check it against the plain
-submask walk in tests/oracles.py (kappa_brute).
+kappa and linking minors take polynomially many rank reads: kappa is one
+matroid intersection, grown by shortest augmenting paths, and a linking
+minor is one intersection per free element. Their tests check kappa
+against the plain submask walk and the table sweep in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-import numpy as np
-
-from ._bits import bits, elements_of, popcount, spread
-from .core import (
-    Matroid,
-    MinorCertificate,
-    TABLE_CAP,
-    _built_table,
-    closure_mask,
-    minor_with_map,
-)
+from ._bits import bits, elements_of, mask_of
+from .core import Matroid, MinorCertificate, closure_mask, minor_with_map
 from .errors import DomainError, ResourceLimitError
 
 
@@ -58,38 +50,64 @@ class SeparationCertificate:
 
 def kappa(m: Matroid, a: Iterable[int], b: Iterable[int],
           ) -> tuple[int, SeparationCertificate]:
-    """Minimum of lambda(Z) over X <= Z <= E-Y, with a witness.
-
-    Exhaustive over the free elements; ties broken toward the smallest
-    witness bitmask, so output is independent of evaluation order.
-    """
+    """Minimum of lambda(Z) over X <= Z <= E-Y, with the least minimizing Z
+    as witness. By matroid intersection it is r(X) + r(Y) - r(M) plus the
+    size of a largest common independent set of (M/X)|F and (M/Y)|F,
+    F = E-X-Y; the least Z lies inside every other minimizer."""
     x, y = m.mask(a), m.mask(b)
     if x & y:
         raise DomainError("kappa needs disjoint sets")
-    best, z = _kappa_masks(m, x, y)
-    return best, SeparationCertificate(elements_of(z), best, "kappa-witness")
+    k, u = _intersect(m.r, x, y, m.full_mask & ~(x | y))
+    value = m.r(x) + m.r(y) - m.full_rank() + k
+    return value, SeparationCertificate(elements_of(x | u), value,
+                                        "kappa-witness")
 
 
-def _kappa_masks(m: Matroid, x: int, y: int) -> tuple[int, int]:
-    """The least lambda over X <= Z <= E-Y and the least Z attaining it,
-    read over every Z at once: from m's rank table when it has one, else
-    through m's oracle."""
-    free = m.full_mask & ~(x | y)
-    f = popcount(free)
-    if f > TABLE_CAP:
-        raise ResourceLimitError(
-            f"kappa is exhaustive over 2^{f} sets; cap is 2^{TABLE_CAP}")
-    z = spread(x, [1 << e for e in bits(free)])  # ascending
-    table = _built_table(m)
-    if table is not None:
-        lam = table[z].astype(np.int16)
-        lam += table[::-1][z]  # r(E - Z)
-    else:
-        full = m.full_mask
-        lam = np.fromiter((m.r(v) + m.r(full ^ v) for v in z.tolist()),
-                          np.int16, len(z))
-    i = int(np.argmin(lam))  # z ascends, so argmin is the least mask
-    return int(lam[i]) - m.full_rank(), int(z[i])
+def _intersect(r: Callable[[int], int], x: int, y: int, free: int,
+               ) -> tuple[int, int]:
+    """|I| for a largest common independent set I of M1 = (M/X)|F and
+    M2 = (M/Y)|F (F = free, M read through r), grown by shortest augmenting
+    paths; and U, the elements that can reach a sink of I's final exchange
+    graph. r1(U) + r2(F-U) = |I| proves both optimal, and U lies inside
+    every minimizer of r1(A) + r2(F-A). I's independence in M1 and M2 and
+    that equation are checked before returning."""
+    rx, ry = r(x), r(y)
+    i = 0
+
+    def arc(u: int, v: int) -> bool:  # I - u + v in M1, or I - v + u in M2
+        if i >> u & 1:
+            return r(x | i ^ (1 << u) | 1 << v) == r1
+        return r(y | i ^ (1 << v) | 1 << u) == r2
+
+    def search(starts, linked, stop=()):  # BFS; stops at a nearest stop
+        pred = dict.fromkeys(starts)
+        queue = deque(starts)
+        while queue:
+            v = queue.popleft()
+            if v in stop:
+                return pred, v
+            for w in bits(free & ~i if i >> v & 1 else i):
+                if w not in pred and linked(v, w):
+                    pred[w] = v
+                    queue.append(w)
+        return pred, None
+
+    while True:
+        r1, r2 = r(x | i), r(y | i)
+        sources = [e for e in bits(free & ~i) if r(x | i | 1 << e) > r1]
+        sinks = {e for e in bits(free & ~i) if r(y | i | 1 << e) > r2}
+        pred, end = search(sources, arc, sinks)
+        if end is None:
+            break
+        while end is not None:
+            i ^= 1 << end
+            end = pred[end]
+    u = mask_of(search(sinks, lambda v, w: arc(w, v))[0])
+    k = i.bit_count()
+    if (r(x | i) - rx != k or r(y | i) - ry != k
+            or r(x | u) - rx + r(y | free & ~u) - ry != k):
+        raise RuntimeError("matroid intersection failed its own certificate")
+    return k, u
 
 
 # ---------------------------------------------------------------------------
@@ -100,54 +118,28 @@ def linking_minor(m: Matroid, a: Iterable[int], b: Iterable[int]
                   ) -> tuple[Matroid, MinorCertificate]:
     """A minor N on X | Y with N|X = M|X, N|Y = M|Y, lambda_N(X) = kappa(X,Y).
 
-    Such a minor always exists; the search removes each free element by
-    contraction or deletion, pruning contractions that disturb either
-    restriction (anything with positive local connectivity to the contract
-    set changes ranks inside X or Y).
+    Tutte's linking theorem, one free element e at a time in ascending
+    order: e is deleted when M/C\\D\\e keeps kappa (one intersection), else
+    contracted, which by Tutte's lemma keeps it. Deletion keeps kappa when
+    e is in cl(X) | cl(Y), so contraction changes neither restriction.
     """
     x, y = m.mask(a), m.mask(b)
     if x & y:
         raise DomainError("linking_minor needs disjoint sets")
-    target, _ = _kappa_masks(m, x, y)
     free = m.full_mask & ~(x | y)
-    in_closures = closure_mask(m, x) | closure_mask(m, y)
-    order = sorted(bits(free), key=lambda e: ((in_closures >> e) & 1, e))
-    rx, ry = m.r(x), m.r(y)
-
-    found = _linking_search(m, x, y, rx, ry, target, in_closures, order, 0, 0, 0)
-    if found is None:
-        raise RuntimeError("linking search exhausted; this is a bug")
-    cmask, dmask = found
-    n, keep = minor_with_map(m, elements_of(cmask), elements_of(dmask))
-    mapping = tuple((i, h) for i, h in enumerate(keep))
-    cert = MinorCertificate(frozenset(elements_of(cmask)),
-                            frozenset(elements_of(dmask)), mapping)
-    return n, cert
-
-
-def _linking_search(m: Matroid, x: int, y: int, rx: int, ry: int, target: int,
-                    in_closures: int, order: list[int], idx: int,
-                    cmask: int, dmask: int) -> Optional[tuple[int, int]]:
-    if idx == len(order):
-        rc = m.r(cmask)
-        lam = ((m.r(x | cmask) - rc) + (m.r(y | cmask) - rc)
-               - (m.r(m.full_mask & ~dmask) - rc))
-        return (cmask, dmask) if lam == target else None
-    e = order[idx]
-    bit = 1 << e
-    contract_ok = (m.r(x | cmask | bit) - m.r(cmask | bit) == rx
-                   and m.r(y | cmask | bit) - m.r(cmask | bit) == ry)
-    branches = (True, False) if not in_closures & bit else (False, True)
-    for do_contract in branches:
-        if do_contract and not contract_ok:
-            continue
-        nc = cmask | bit if do_contract else cmask
-        nd = dmask if do_contract else dmask | bit
-        got = _linking_search(m, x, y, rx, ry, target, in_closures, order,
-                              idx + 1, nc, nd)
-        if got is not None:
-            return got
-    return None
+    # kappa - r(X) - r(Y); the restrictions keep r(X) and r(Y) throughout
+    goal = _intersect(m.r, x, y, free)[0] - m.full_rank()
+    c = d = 0
+    for e in bits(free):
+        bit = 1 << e
+        k, _ = _intersect(m.r, x | c, y | c, free & ~(c | d | bit))
+        if k - m.r(m.full_mask & ~(d | bit)) + m.r(c) == goal:
+            d |= bit
+        else:
+            c |= bit
+    n, keep = minor_with_map(m, elements_of(c), elements_of(d))
+    return n, MinorCertificate(frozenset(bits(c)), frozenset(bits(d)),
+                               tuple(enumerate(keep)))
 
 
 # ---------------------------------------------------------------------------

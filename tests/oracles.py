@@ -94,6 +94,23 @@ def least_kappa_witness(m, xs, ys, value: int) -> int:
     return min(z for z in _kappa_sides(m, xs, ys) if lam(m, z) == value)
 
 
+def kappa_sweep(m, xs, ys) -> tuple[int, int]:
+    """Least lambda over X <= Z <= E - Y and the least Z attaining it, read
+    for every Z at once by two gathers on the rank table: r(Z) and r(E-Z)."""
+    from matroidkit import rank_table
+
+    xm, ym = m.mask(xs), m.mask(ys)
+    z = np.array([xm], dtype=np.int64)
+    for e in range(m.size):
+        if not (xm | ym) >> e & 1:
+            z = np.concatenate([z, z | (1 << e)])
+    z.sort()
+    table = rank_table(m).astype(np.int64)
+    lam = table[z] + table[m.full_mask ^ z] - m.full_rank()
+    i = int(np.argmin(lam))  # z ascends, so argmin is the least mask
+    return int(lam[i]), int(z[i])
+
+
 def minor_brute(host, target) -> bool:
     """Unpruned minor test: all contract/keep splits, all bijections."""
     n, t = host.size, target.size

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidkit import clique, direct_sum, uniform
+from matroidkit._bits import mask_of
 from matroidkit.connectivity import (
     SeparationCertificate,
     connectivity,
@@ -14,10 +17,11 @@ from matroidkit.connectivity import (
     linking_minor,
     local_conn,
 )
-from matroidkit.core import closure_mask, validate_certificate
+from matroidkit.core import Matroid, closure_mask, validate_certificate
 from matroidkit.errors import DomainError
 from conftest import random_linear
 from oracles import kappa_brute, lam
+from strategies import graph_reps, linear_reps
 
 
 def test_lambda_zero_exactly_on_sum_separators():
@@ -80,6 +84,76 @@ def test_linking_minor_certifies_kappa(rng: random.Random):
         assert lam(n, ximg) == value
         for e in xs + ys:  # restrictions survive on both sides
             assert n.r(1 << inv[e]) == m.r(1 << e)
+
+
+@st.composite
+def linking_cases(draw):
+    """A GF(2), GF(3) or GF(5) matrix or a multigraph (loops and parallel
+    edges occur), as given or as its bare oracle, with disjoint X and Y;
+    either may be empty."""
+    rep = draw(st.one_of(linear_reps(max_cols=9, primes=(2, 3, 5)),
+                         graph_reps(max_edges=9)))
+    m = rep.matroid()
+    if draw(st.booleans()):
+        m = Matroid(m.size, m._rank_mask)
+    roles = draw(st.lists(st.sampled_from("xyf"), min_size=m.size,
+                          max_size=m.size))
+    return (m, [e for e, r in enumerate(roles) if r == "x"],
+            [e for e, r in enumerate(roles) if r == "y"])
+
+
+def _assert_linking_contract(m, xs, ys):
+    """N lives on X | Y, N|X = M|X, N|Y = M|Y, lambda_N(X) = kappa, and the
+    certificate names N as a minor of M."""
+    value, _ = kappa(m, xs, ys)
+    n, cert = linking_minor(m, xs, ys)
+    assert validate_certificate(cert, m, n)
+    assert n.size == len(xs) + len(ys)
+    image = {h: t for t, h in cert.mapping}
+    for side in (xs, ys):
+        for k in range(len(side) + 1):
+            for sub in itertools.combinations(side, k):
+                assert n.r(mask_of(image[e] for e in sub)) == m.rank(sub)
+    assert lam(n, mask_of(image[e] for e in xs)) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(linking_cases())
+def test_linking_minor_keeps_both_restrictions_and_kappa(case):
+    _assert_linking_contract(*case)
+
+
+def _lattice_minimum(m, xs, ys):
+    """X plus every free e with kappa(X, Y + e) > kappa(X, Y): the side
+    that lies inside every minimizing side."""
+    value, _ = kappa(m, xs, ys)
+    return m.mask(xs) | mask_of(
+        e for e in range(m.size) if e not in xs and e not in ys
+        and kappa(m, xs, ys + [e])[0] > value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linking_cases())
+def test_kappa_witness_is_the_lattice_minimum(case):
+    m, xs, ys = case
+    _, cert = kappa(m, xs, ys)
+    assert m.mask(cert.side) == _lattice_minimum(m, xs, ys)
+
+
+def _edge(n, u, v):
+    return list(itertools.combinations(range(n), 2)).index((u, v))
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_triangles_of_cliques_past_the_old_sweep(n):
+    # 30 and 49 free elements: no brute walk or table sweep reaches these
+    m = clique(n)
+    xs = [_edge(n, 0, 1), _edge(n, 0, 2), _edge(n, 1, 2)]
+    ys = [_edge(n, 3, 4), _edge(n, 3, 5), _edge(n, 4, 5)]
+    value, cert = kappa(m, xs, ys)
+    assert value == 2
+    assert m.mask(cert.side) == _lattice_minimum(m, xs, ys)
+    _assert_linking_contract(m, xs, ys)
 
 
 def test_flats_of_small_cliques_count_vertex_partitions():

@@ -136,6 +136,19 @@ def test_cli_query_tangle_and_kappa(tmp_path, capsys):
     assert set(doc["witness-side"]) >= {0, 1}
 
 
+def test_cli_query_kappa_past_the_old_sweep_cap(tmp_path, capsys):
+    # K_9 has 36 edges; between the triangles on vertices 0,1,2 and 3,4,5
+    # 30 elements are free
+    path = tmp_path / "k9.json"
+    dump(clique(9), str(path))
+    assert main(["query", "kappa", "--matroid", str(path),
+                 "--x", "0,1,8", "--y", "21,22,26", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 2
+    side = set(doc["witness-side"])
+    assert side >= {0, 1, 8} and not side & {21, 22, 26}
+
+
 def test_cli_query_missing_file(capsys):
     assert main(["query", "rank", "--matroid", "/nonexistent/m.json"]) == 2
 

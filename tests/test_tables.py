@@ -2,17 +2,18 @@
 
 Each fast path (the doubling DP for graph, GF(p) and decorated-graph
 tables, the array transforms for recipe tables, table equality in
-same_rank_function, the subset-closure sweep in tangle membership, the
-kappa sweep over table gathers) is compared with the subset-by-subset
-definition it replaces. kappa is also compared with itself on the bare
-oracle of the same matroid, which takes the oracle branch of the same
-sweep, including on ground sets too large for a table. The mask families
-all of these sweeps read come from _bits.spread, which is compared with
-the bit-by-bit shift form.
+same_rank_function, the subset-closure sweep in tangle membership) is
+compared with the subset-by-subset definition it replaces. The mask
+families these sweeps read come from _bits.spread, which is compared with
+the bit-by-bit shift form. kappa, a matroid intersection through the
+oracle, is compared with the table-gather sweep it replaced (kappa_sweep)
+on inputs too wide for the brute walk, and with itself on the bare oracle
+of the same matroid, including on ground sets too large for a table.
 """
 
 import functools
 import operator
+import random
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,14 @@ from matroidkit.core import Matroid, closure_mask
 from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _lambda_table, _small_flags
 
-from oracles import gf_rank, graph_rank, kappa_brute, lam, least_kappa_witness
+from oracles import (
+    gf_rank,
+    graph_rank,
+    kappa_brute,
+    kappa_sweep,
+    lam,
+    least_kappa_witness,
+)
 from test_minor_reps import decorated_reps
 from test_properties import graph_matroids, linear_matroids
 
@@ -377,3 +385,48 @@ def test_kappa_on_wide_bare_oracles_matches_the_brute_walk(n, f, rnd):
     value, cert = kappa(m, xs, ys)
     assert value == kappa_brute(m, xs, ys)
     assert m.mask(cert.side) == least_kappa_witness(m, xs, ys, value)
+
+
+@st.composite
+def two_block_kappa_cases(draw):
+    """Shaped like the benchmark's kappa input: a GF(2) or GF(3) matrix of
+    13-18 columns with two diagonal blocks, columns shuffled; X is one
+    element and Y is empty or one element."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(13, 18))
+    n1 = draw(st.integers(1, n - 1))
+    entry = st.integers(0, p - 1)
+    rows = []
+    for lo, hi in ((0, n1), (n1, n)):
+        for _ in range(draw(st.integers(1, min(hi - lo, 5)))):
+            row = draw(st.lists(entry, min_size=hi - lo, max_size=hi - lo))
+            rows.append([0] * lo + row + [0] * (n - hi))
+    order = draw(st.permutations(range(n)))
+    rows = [[row[j] for j in order] for row in rows]
+    x = draw(st.integers(0, n - 1))
+    ys = draw(st.sampled_from([[]] + [[e] for e in range(n) if e != x]))
+    return from_matrix(rows, p), [x], ys
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_block_kappa_cases())
+def test_kappa_matches_the_table_sweep_on_two_block_matrices(case):
+    # up to 17 free elements: past kappa_brute, within one rank table
+    m, xs, ys = case
+    value, cert = kappa(m, xs, ys)
+    assert (value, m.mask(cert.side)) == kappa_sweep(m, xs, ys)
+
+
+def test_kappa_on_a_64_element_bare_oracle_stays_small():
+    # 62 free elements and no table: the reads are polynomially many
+    rnd = random.Random(64)
+    rows = [[rnd.randrange(2) for _ in range(64)] for _ in range(8)]
+    m = Matroid(64, from_matrix(rows, 2)._rank_mask)
+    tracemalloc.start()
+    try:
+        value, cert = kappa(m, [0], [63])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lam(m, m.mask(cert.side)) == value
