@@ -466,9 +466,11 @@ def rank_table(m: Matroid) -> np.ndarray:
 
     The table is built at most once per matroid, cached on it and returned
     read-only, so it costs 2^n bytes for as long as the matroid lives.
-    Every provenance kind builds it with a few numpy passes: graphs,
-    GF(p) matrices and decorated graphs by a doubling DP over the
-    elements, recipes by array transforms of their operands' tables.
+    Every provenance kind builds it with a few numpy passes: GF(p)
+    matrices by a doubling DP over the elements, graphs and decorated
+    graphs through their GF(2) or GF(3) incidence matrix over the vertices
+    their edges touch, recipes by array transforms of their operands'
+    tables.
     A matroid with no provenance, a recipe over one, or a builder whose
     workspace would exceed TABLE_BUDGET bytes walks the oracle once per
     subset instead.

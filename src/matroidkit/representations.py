@@ -28,6 +28,37 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _pack(col: Sequence[int]) -> int:
+    """A GF(2) column as an int: bit j is entry j."""
+    return sum(1 << j for j, x in enumerate(col) if x)
+
+
+def _unpack(packed: Iterable[int], n_rows: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple((c >> j) & 1 for j in range(n_rows)) for c in packed)
+
+
+def _gf2_rank(packed: tuple[int, ...]):
+    """Rank oracle of GF(2) columns packed into ints, by elimination on
+    their leading bits."""
+
+    def rank_mask(mask: int) -> int:
+        lead: dict[int, int] = {}
+        r = 0
+        for e in bits(mask):
+            v = packed[e]
+            while v:
+                h = v.bit_length() - 1
+                w = lead.get(h)
+                if w is None:
+                    lead[h] = v
+                    r += 1
+                    break
+                v ^= w
+        return r
+
+    return rank_mask
+
+
 # ---------------------------------------------------------------------------
 # linear representations
 
@@ -53,25 +84,7 @@ class LinearRep:
 
     def matroid(self, name: str = "") -> Matroid:
         if self.prime == 2:
-            packed = tuple(
-                sum(1 << i for i, x in enumerate(col) if x) for col in self.columns
-            )
-
-            def rank_mask(mask: int) -> int:
-                lead: dict[int, int] = {}
-                r = 0
-                for e in bits(mask):
-                    v = packed[e]
-                    while v:
-                        h = v.bit_length() - 1
-                        w = lead.get(h)
-                        if w is None:
-                            lead[h] = v
-                            r += 1
-                            break
-                        v ^= w
-                return r
-
+            rank_mask = _gf2_rank(tuple(_pack(col) for col in self.columns))
         else:
             p = self.prime
             nr = self.n_rows
@@ -121,8 +134,8 @@ class LinearRep:
             return None
         rank = np.zeros(1 << m, dtype=np.uint8)
         if packed:
-            state = np.array([sum(x << j for j, x in enumerate(col))
-                              for col in self.columns], dtype=dtype)[:, None]
+            state = np.array([_pack(col) for col in self.columns],
+                             dtype=dtype)[:, None]
         else:
             state = np.zeros((m, 1, col_bytes), dtype=np.uint8)
             state[:, 0, :nr] = np.reshape(self.columns, (m, nr))
@@ -208,11 +221,22 @@ def from_matrix(rows: Sequence[Sequence[int]], prime: int,
 
 
 def _check_graph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
-    if n_vertices < 0:
-        raise GroundSetError("n_vertices must be non-negative")
+    if not _is_int(n_vertices) or n_vertices < 0:
+        raise GroundSetError("n_vertices must be a non-negative integer")
     for u, v in edges:
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+        if not (_is_int(u) and _is_int(v)
+                and 0 <= u < n_vertices and 0 <= v < n_vertices):
             raise GroundSetError("edge endpoint out of range")
+
+
+def _incidence(edges: tuple[tuple[int, int], ...]
+               ) -> tuple[dict[int, int], tuple[int, ...]]:
+    """A graph's GF(2) incidence matrix over only the vertices its edges
+    touch: the row of each touched vertex, in ascending vertex order, and
+    each edge's column packed into an int. A loop is the zero column. Its
+    cost never depends on the number of vertices."""
+    row = {v: k for k, v in enumerate(sorted({x for e in edges for x in e}))}
+    return row, tuple((1 << row[u]) ^ (1 << row[v]) for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -226,19 +250,12 @@ class GraphRep:
         _check_graph(self.n_vertices, self.edges)
 
     def matroid(self, name: str = "") -> Matroid:
-        edges = self.edges
-        nv = self.n_vertices
+        return Matroid(len(self.edges), _gf2_rank(_incidence(self.edges)[1]),
+                       provenance=self, name=name)
 
-        def rank_mask(mask: int) -> int:
-            parent = list(range(nv))
-            r = 0
-            for e in bits(mask):
-                u, v = edges[e]
-                if union(parent, u, v):
-                    r += 1
-            return r
-
-        return Matroid(len(edges), rank_mask, provenance=self, name=name)
+    def to_linear(self) -> LinearRep:
+        row, packed = _incidence(self.edges)
+        return LinearRep(2, len(row), _unpack(packed, len(row)))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]
                   ) -> "GraphRep":
@@ -256,35 +273,11 @@ class GraphRep:
         )
         return GraphRep(len(roots), new_edges)
 
+    # Not shared with _DecoratedGraphRep: perfbench's Tracer.install() wraps
+    # it from this class's own __dict__ and reports a shared function object
+    # as a missed binding.
     def rank_table_fast(self) -> Optional[np.ndarray]:
-        """Rank of every edge subset by doubling over the edges.
-
-        Row x of comp holds the component labels (least vertex of each
-        component) of the edge subset x. Rows [2^i, 2^(i+1)) are rows
-        [0, 2^i) with the endpoints of edge i merged; the last edge's copy
-        is never read, so only its rank half is filled.
-        """
-        m = len(self.edges)
-        nv = self.n_vertices
-        label = np.min_scalar_type(max(nv - 1, 0))
-        # rank table, plus half a table of labels and of comparison flags
-        if (1 << m) * (1 + nv * (label.itemsize + 1) // 2) > TABLE_BUDGET:
-            return None
-        rank = np.zeros(1 << m, dtype=np.uint8)
-        comp = np.empty((max((1 << m) // 2, 1), nv), dtype=label)
-        comp[0] = np.arange(nv)
-        for i, (u, v) in enumerate(self.edges):
-            half = 1 << i
-            lo = comp[:half]
-            lu = lo[:, u]
-            lv = lo[:, v]
-            rank[half:2 * half] = rank[:half] + (lu != lv)
-            if i + 1 < m:
-                hi = comp[half:2 * half]
-                hi[...] = lo
-                np.copyto(hi, np.minimum(lu, lv)[:, None],
-                          where=lo == np.maximum(lu, lv)[:, None])
-        return rank
+        return self.to_linear().rank_table_fast()
 
 
 def from_graph(n_vertices: int, edges: Iterable[tuple[int, int]],
@@ -340,23 +333,16 @@ class _DecoratedGraphRep:
 @dataclass(frozen=True)
 class EvenCycleRep(_DecoratedGraphRep):
     """Graph plus a set W of odd edges; the matroid of the GF(2) matrix whose
-    columns are edge incidence vectors stacked with the characteristic row
-    of W. A loop in W is a nonloop of the matroid (its column is the w-row
+    columns are edge incidence vectors, over the vertices the edges touch,
+    stacked with the characteristic row of W. A loop in W is a nonloop of the matroid (its column is the w-row
     unit); a loop outside W is a matroid loop.
     """
 
     def to_linear(self) -> LinearRep:
-        nr = self.n_vertices + 1
-        columns = []
-        for i, (u, v) in enumerate(self.edges):
-            col = [0] * nr
-            if u != v:
-                col[u] ^= 1
-                col[v] ^= 1
-            if i in self.odd:
-                col[nr - 1] = 1
-            columns.append(tuple(col))
-        return LinearRep(2, nr, tuple(columns))
+        row, packed = _incidence(self.edges)
+        w = 1 << len(row)  # the characteristic row of W comes last
+        packed = (c | w if i in self.odd else c for i, c in enumerate(packed))
+        return LinearRep(2, len(row) + 1, _unpack(packed, len(row) + 1))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
         return self._deletion(contract, delete)
@@ -371,14 +357,15 @@ class SignedGraphRep(_DecoratedGraphRep):
     """
 
     def to_linear(self) -> LinearRep:
+        row = _incidence(self.edges)[0]
         columns = []
         for i, (u, v) in enumerate(self.edges):
-            col = [0] * self.n_vertices
+            col = [0] * len(row)
             sign = 1 if i in self.odd else -1
-            col[u] = (col[u] + 1) % 3
-            col[v] = (col[v] + sign) % 3
+            col[row[u]] = (col[row[u]] + 1) % 3
+            col[row[v]] = (col[row[v]] + sign) % 3
             columns.append(tuple(col))
-        return LinearRep(3, self.n_vertices, tuple(columns))
+        return LinearRep(3, len(row), tuple(columns))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
         return self._deletion(contract, delete)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from matroidkit import is_isomorphic, simplify
 from matroidkit.constructions import (
@@ -19,6 +20,7 @@ from matroidkit.representations import (
     has_blocking_pair,
 )
 from oracles import gf_rank, graph_rank
+from test_minor_reps import decorated_reps
 
 
 def _parity_components(n, edges, odd, mask):
@@ -112,6 +114,21 @@ def test_from_graph_rejects_bad_endpoint():
         from_graph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("build, args", [
+    (from_graph, (3.0, [(0, 1)])),
+    (from_graph, (True, [])),
+    (GraphRep, ("3", ())),
+    (GraphRep, (3, ((0.0, 1),))),
+    (GraphRep, (3, ((0, True),))),
+    (EvenCycleRep, (3, ((1.0, 2),), frozenset())),
+    (SignedGraphRep, (3.0, ((0, 1),), frozenset({0}))),
+], ids=["float-count", "bool-count", "str-count", "float-end", "bool-end",
+        "even-cycle-float-end", "signed-float-count"])
+def test_graph_rejects_non_int_vertex_count_or_endpoint(build, args):
+    with pytest.raises(GroundSetError):
+        build(*args)
+
+
 def test_even_cycle_rank_is_lift_formula():
     # triangle with one odd edge, an odd loop, an even loop, a doubled edge
     rep = EvenCycleRep(3, ((0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (0, 1)),
@@ -136,6 +153,18 @@ def test_signed_graph_rank_is_frame_formula():
     mb = big.matroid()
     for mask in range(1 << mb.size):
         assert mb.r(mask) == frame_rank(big, mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decorated_reps())
+def test_decorated_graph_ranks_match_the_parity_formulas(rep):
+    # isolated vertices get no row of to_linear(); loops, parallel edges
+    # and odd loops all occur
+    formula = lift_rank if isinstance(rep, EvenCycleRep) else frame_rank
+    expected = [formula(rep, mask) for mask in range(1 << len(rep.edges))]
+    oracle = rep.matroid()._rank_mask
+    assert [oracle(mask) for mask in range(1 << len(rep.edges))] == expected
+    assert rep.rank_table_fast().tolist() == expected
 
 
 def test_decorated_reps_realize_the_contracted_families():

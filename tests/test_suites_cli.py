@@ -162,6 +162,16 @@ def test_cli_query_negative_vertex_count(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_query_rank_ignores_untouched_vertices(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "graph", "n_vertices": 10**9,
+                                "edges": [[0, 1], [1, 2], [2, 0],
+                                          [999999999, 0]]}))
+    assert main(["query", "rank", "--matroid", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 3
+
+
 def test_cli_query_deeply_nested_recipe(tmp_path, capsys):
     inner = '{"kind": "graph", "n_vertices": 2, "edges": [[0, 1]]}'
     head = '{"kind": "recipe", "op": "dual", "args": ['

@@ -1,7 +1,8 @@
 """Differential tests: the cached rank-table paths against plain oracles.
 
-Each fast path (the doubling DP for graph, GF(p) and decorated-graph
-tables, the array transforms for recipe tables, table equality in
+Each fast path (the doubling DP for GF(p) tables, which graphs and
+decorated graphs reach through their incidence matrix over the vertices
+their edges touch, the array transforms for recipe tables, table equality in
 same_rank_function, the subset-closure sweep in tangle membership) is
 compared with the subset-by-subset definition it replaces. The mask
 families these sweeps read come from _bits.spread, which is compared with
@@ -70,6 +71,8 @@ def test_graph_table_dp_matches_union_find_on_every_mask(g):
     expected = [graph_rank(g.n_vertices, g.edges, mask)
                 for mask in range(1 << len(g.edges))]
     assert table.tolist() == expected
+    oracle = g.matroid()._rank_mask  # not memoized
+    assert [oracle(mask) for mask in range(1 << len(g.edges))] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,16 +282,36 @@ def test_recipe_over_a_bare_operand_walks_only_its_own_oracle():
 
 
 def test_graph_table_budget_declines_before_allocating():
-    path = GraphRep(120, tuple((i, i + 1) for i in range(22)))
+    # A graph builds its table through its GF(2) incidence matrix: 22 edges
+    # touch at most 44 rows, packed into uint64, so 2^22 x 25 B stays under
+    # TABLE_BUDGET. A GF(3) matrix of 12 rows and 22 columns needs
+    # 2^22 x 37 B and must decline without allocating.
+    wide = LinearRep(3, 12, tuple(tuple(int(i == j % 12) for i in range(12))
+                                  for j in range(22)))
     tracemalloc.start()
     try:
-        assert path.rank_table_fast() is None
+        assert wide.rank_table_fast() is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
     table = clique(7).provenance.rank_table_fast()  # 21 edges, 7 vertices
     assert table is not None and table[-1] == 6
+
+
+def test_graph_rank_cost_does_not_depend_on_n_vertices():
+    path = from_graph(10**6, [(i, i + 1) for i in range(16)])
+    tracemalloc.start()
+    try:
+        assert path.full_rank() == 16 and path.r(0b1011) == 3
+        _, peak = tracemalloc.get_traced_memory()
+        # before the table, which would take 2^16 reads of any such cost
+        assert peak < 1 << 20
+        assert np.array_equal(rank_table(path), popcount_table(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_graph_table_dp_with_wide_vertex_labels():
