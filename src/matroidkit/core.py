@@ -31,10 +31,6 @@ _CACHE_LIMIT = 1 << 20
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
 TABLE_CAP = 22
 
-# Targets over this many elements are not validated: validation reads
-# 2^|E(target)| host subsets.
-CERTIFICATE_CAP = 20
-
 # Scratch bytes one rank-table builder may allocate. A builder whose
 # workspace would exceed it returns None before allocating, and rank_table
 # walks the oracle instead.
@@ -415,14 +411,16 @@ class MinorCertificate:
 
 def validate_certificate(cert: MinorCertificate, host: Matroid,
                          target: Matroid) -> bool:
-    """Check a minor certificate by exhaustive rank agreement.
+    """Check a minor certificate by rank and bases.
 
-    Verifies the contract/delete/image partition of E(host) and that the
-    target's rank table equals r(C + image(X)) - r(C) over every target
-    subset X, read through the host's own oracle (never through a
+    Verifies the contract/delete/image partition of E(host), then that
+    N = (host / C) | image has the target's rank and bases, so N is the
+    target (Oxley, 1.2): r(C + image(X)) - r(C) = r(target) for X = E(target),
+    and for each r(target)-subset X exactly when X is a target basis. That
+    is C(k, r(target)) + 2 reads through the host's own oracle (never a
     representation of the minor or the host's table). A bijection is the
-    certificate with nothing contracted or deleted. A target over
-    CERTIFICATE_CAP elements raises ResourceLimitError.
+    certificate with nothing contracted or deleted. A target over TABLE_CAP
+    elements raises ResourceLimitError from its rank table.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -438,16 +436,16 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
         return False
     if (cmask | dmask | image) != host.full_mask:
         return False
-    if target.size > CERTIFICATE_CAP:
-        raise ResourceLimitError(
-            f"certificate validation is exhaustive; target has {target.size} "
-            f"> {CERTIFICATE_CAP} elements"
-        )
-    # C + image(X) for every target subset X
-    masks = spread(cmask, [1 << pairs[t] for t in range(target.size)])
+    table = rank_table(target)
+    rt = int(table[-1])
+    rc = host.r(cmask)
+    if host.r(cmask | image) - rc != rt:
+        return False
+    # C + image(X) for every target subset X of size r(target)
+    sized = popcount_table(target.size) == rt
+    masks = spread(cmask, [1 << pairs[t] for t in range(target.size)])[sized]
     ranks = np.fromiter(map(host.r, masks.tolist()), np.int16, len(masks))
-    ranks -= host.r(cmask)
-    return np.array_equal(ranks, rank_table(target))
+    return np.array_equal(ranks == rc + rt, table[sized] == rt)
 
 
 # ---------------------------------------------------------------------------

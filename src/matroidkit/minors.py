@@ -13,7 +13,6 @@ from typing import Iterable, Optional
 
 from ._bits import bits, elements_of, find, mask_of
 from .core import (
-    CERTIFICATE_CAP,
     Matroid,
     MinorCertificate,
     _built_table,
@@ -46,10 +45,10 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
     into that of m / C with parallel-class capacities and loops respected.
 
     m's ranks are read from its rank table when it is cached or m's
-    provenance builds it, else from m's oracle. With validate, a
-    certificate is checked against m's own oracle before it is returned,
-    but only when the target has at most CERTIFICATE_CAP elements: for a
-    larger target the check is skipped without notice.
+    provenance builds it, else from m's oracle. With validate, every
+    certificate is checked against m's own oracle before it is returned;
+    a found certificate whose target has more than TABLE_CAP elements
+    raises ResourceLimitError instead.
     """
     if m.size > size_cap:
         raise ResourceLimitError(
@@ -72,10 +71,8 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
             continue
         cert = _embed_restriction(m, r, cmask, t_si, t_classes, t_loops)
         if cert is not None:
-            if validate and target.size <= CERTIFICATE_CAP:
-                if not cert.validate(m, target):
-                    raise RuntimeError(
-                        "minor search built an invalid certificate")
+            if validate and not cert.validate(m, target):
+                raise RuntimeError("minor search built an invalid certificate")
             return cert
     return None
 

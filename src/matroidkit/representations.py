@@ -8,6 +8,7 @@ and serializable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -259,19 +260,20 @@ class GraphRep:
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]
                   ) -> "GraphRep":
-        """Graph of the minor: merge endpoints of contracted edges."""
-        parent = list(range(self.n_vertices))
+        """Graph of the minor: merge endpoints of contracted edges. A root's
+        label is its rank among the roots, over the touched vertices only."""
+        parent = {x: x for x in _incidence(self.edges)[0]}
         for c in contract:
             union(parent, *self.edges[c])
-        roots = sorted({find(parent, x) for x in range(self.n_vertices)})
-        rename = {root: i for i, root in enumerate(roots)}
+        merged = [x for x in parent if find(parent, x) != x]  # ascending
+        rename = {x: x - bisect_left(merged, x) for x in parent}
         gone = set(contract) | set(delete)
         new_edges = tuple(
             (rename[find(parent, u)], rename[find(parent, v)])
             for i, (u, v) in enumerate(self.edges)
             if i not in gone
         )
-        return GraphRep(len(roots), new_edges)
+        return GraphRep(self.n_vertices - len(merged), new_edges)
 
     # Not shared with _DecoratedGraphRep: perfbench's Tracer.install() wraps
     # it from this class's own __dict__ and reports a shared function object
@@ -283,7 +285,7 @@ class GraphRep:
 def from_graph(n_vertices: int, edges: Iterable[tuple[int, int]],
                name: str = "") -> Matroid:
     """Cycle matroid of a multigraph."""
-    return GraphRep(n_vertices, tuple((int(u), int(v)) for u, v in edges)
+    return GraphRep(n_vertices, tuple((u, v) for u, v in edges)
                     ).matroid(name=name)
 
 
@@ -373,13 +375,13 @@ class SignedGraphRep(_DecoratedGraphRep):
 
 def even_cycle(n_vertices: int, edges: Iterable[tuple[int, int]],
                odd: Iterable[int], name: str = "") -> Matroid:
-    return EvenCycleRep(n_vertices, tuple((int(u), int(v)) for u, v in edges),
+    return EvenCycleRep(n_vertices, tuple((u, v) for u, v in edges),
                         frozenset(odd)).matroid(name=name)
 
 
 def signed_graphic(n_vertices: int, edges: Iterable[tuple[int, int]],
                    odd: Iterable[int], name: str = "") -> Matroid:
-    return SignedGraphRep(n_vertices, tuple((int(u), int(v)) for u, v in edges),
+    return SignedGraphRep(n_vertices, tuple((u, v) for u, v in edges),
                           frozenset(odd)).matroid(name=name)
 
 
@@ -394,10 +396,11 @@ def has_blocking_pair(rep) -> Optional[tuple[int, int]]:
         raise DomainError("blocking pairs are defined for decorated graphs")
     nv = rep.n_vertices
     odd_edges = [rep.edges[i] for i in sorted(rep.odd)]
-    if nv == 1:
-        return (0, 0) if all(u == v == 0 for u, v in odd_edges) else None
-    for u in range(nv):
-        for v in range(u + 1, nv):
-            if all(a in (u, v) or b in (u, v) for a, b in odd_edges):
-                return (u, v)
-    return None
+    # the least pair (u, v) has u = 0 or u on an odd edge: otherwise v
+    # alone meets every odd edge, and so does the smaller pair (0, v)
+    for u in sorted({0}.union(*odd_edges)):
+        ends = [set(e) for e in odd_edges if u not in e] or [{u + 1}]
+        v = min((x for x in set.intersection(*ends) if x > u), default=nv)
+        if v < nv:
+            return (u, v)
+    return (0, 0) if nv == 1 else None  # every edge is a loop at 0

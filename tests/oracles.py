@@ -68,6 +68,39 @@ def graph_rank(n_vertices: int, edges, mask: int) -> int:
     return rank
 
 
+def graph_minor_walk(n_vertices: int, edges, contract, delete):
+    """(vertex count, edges) of a graph minor: union-find over every vertex,
+    hanging u's root under v's root for each contracted edge (u, v), then
+    numbering all roots in ascending order."""
+    parent = list(range(n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in contract:
+        u, v = edges[c]
+        if find(u) != find(v):
+            parent[find(u)] = find(v)
+    roots = sorted({find(x) for x in range(n_vertices)})
+    rename = {root: i for i, root in enumerate(roots)}
+    return len(roots), tuple((rename[find(u)], rename[find(v)])
+                             for i, (u, v) in enumerate(edges)
+                             if i not in contract and i not in delete)
+
+
+def blocking_pair_walk(n_vertices: int, odd_edges):
+    """Least vertex pair u < v meeting every odd edge, trying every pair;
+    (0, 0) on a single vertex."""
+    if n_vertices == 1:
+        return (0, 0)
+    for u, v in itertools.combinations(range(n_vertices), 2):
+        if all(u in e or v in e for e in odd_edges):
+            return (u, v)
+    return None
+
+
 def lam(m, z: int) -> int:
     return m.r(z) + m.r(m.full_mask & ~z) - m.full_rank()
 

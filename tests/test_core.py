@@ -175,12 +175,32 @@ def test_certificate_validation_and_tampering():
     assert not validate_certificate(bad, host, uniform(2, 3))
 
 
+def _identity(m):
+    return MinorCertificate(frozenset(), frozenset(),
+                            tuple((i, i) for i in range(m.size)))
+
+
 def test_certificate_exhaustive_limit():
-    host = clique(7)  # 21 elements, one over CERTIFICATE_CAP
-    cert = MinorCertificate(frozenset(), frozenset(),
-                            tuple((i, i) for i in range(host.size)))
+    host = clique(8)  # 28 elements: the target's rank table refuses them
     with pytest.raises(ResourceLimitError):
-        validate_certificate(cert, host, host)
+        validate_certificate(_identity(host), host, host)
+    host = clique(7)  # 21 elements, read on its C(21, 6) bases
+    assert validate_certificate(_identity(host), host, host)
+
+
+def test_certificate_reads_only_the_rank_and_the_bases():
+    # clique(6): 15 elements of rank 5, on a host with no provenance whose
+    # oracle counts its calls; a subset walk would make 2^15 of them
+    table = rank_table(clique(6))
+    calls = []
+
+    def rank_mask(mask):
+        calls.append(mask)
+        return int(table[mask])
+
+    host = Matroid(15, rank_mask)
+    assert validate_certificate(_identity(host), host, clique(6))
+    assert len(calls) == len(set(calls)) <= 3003 + 2  # C(15, 5) + 2
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 64])

@@ -3,18 +3,20 @@
 A minor of a represented matroid is the matroid of the minor's
 representation; its ranks must equal the contracted host's, read through
 the host's own oracle, and building it must not touch that oracle.
-validate_certificate compares two rank tables; the subset walk in
+validate_certificate compares rank and bases; the subset walk in
 oracles.certificate_walk is the reference it must agree with.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from matroidkit.constructions import free_extension, truncation
 from matroidkit.core import (
     Matroid,
     MinorCertificate,
     Recipe,
+    dual,
     minor_with_map,
     validate_certificate,
 )
@@ -30,8 +32,8 @@ from strategies import graph_reps, linear_reps
 
 
 @st.composite
-def decorated_reps(draw):
-    g = draw(graph_reps())
+def decorated_reps(draw, max_vertices=5):
+    g = draw(graph_reps(max_vertices=max_vertices))
     odd = draw(st.sets(st.integers(0, len(g.edges) - 1)))
     cls = draw(st.sampled_from((EvenCycleRep, SignedGraphRep)))
     return cls(g.n_vertices, g.edges, frozenset(odd))
@@ -129,13 +131,29 @@ def _perturb(cert, rng):
                             tuple(mapping))
 
 
-@settings(max_examples=150, deadline=None)
-@given(with_split(st.one_of(linear_reps(), graph_reps(), decorated_reps())),
-       st.integers(0, 2 ** 32))
-def test_validate_certificate_agrees_with_subset_walk(case, seed):
-    rep, (contract, delete) = case
-    rng = random.Random(seed)
+RECIPES = {"none": lambda m: m, "dual": dual, "truncation": truncation,
+           "free-extension": free_extension}
+
+
+@st.composite
+def certificate_hosts(draw):
+    """A represented matroid or a recipe over one, as built or as its
+    bare-oracle twin, with a split of its elements."""
+    rep = draw(st.one_of(linear_reps(), graph_reps(), decorated_reps()))
     host = rep.matroid()
+    recipe = draw(st.sampled_from(sorted(RECIPES)))
+    assume(recipe != "truncation" or host.full_rank() > 0)
+    host = RECIPES[recipe](host)
+    if draw(st.booleans()):
+        host = Matroid(host.size, host._rank_mask)
+    return host, draw(splits(host.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_hosts(), st.integers(0, 2 ** 32))
+def test_validate_certificate_agrees_with_subset_walk(case, seed):
+    host, (contract, delete) = case
+    rng = random.Random(seed)
     target, keep = minor_with_map(host, contract, delete)
     cert = MinorCertificate(frozenset(contract), frozenset(delete),
                             tuple(enumerate(keep)))

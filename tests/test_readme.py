@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from matroidkit.core import CERTIFICATE_CAP, GROUND_SET_CAP, TABLE_CAP
+from matroidkit.core import GROUND_SET_CAP, TABLE_CAP
 from matroidkit.minors import GRAPHIC_SIZE_CAP, MINOR_SIZE_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 HARD_CAPS = re.compile(
     r"Hard caps: (\d+) elements per matroid, (\d+) for anything that sweeps "
     r"all `2\^n` subsets \([^)]*\), (\d+) / (\d+) for minor / graphicness "
-    r"search, and (\d+) target elements for certificate validation\.")
+    r"search\.")
 
 
 def test_readme_hard_caps_are_the_constants():
@@ -19,5 +19,4 @@ def test_readme_hard_caps_are_the_constants():
     found = HARD_CAPS.search(text)
     assert found, "README lost its 'Hard caps:' sentence"
     assert tuple(map(int, found.groups())) == (
-        GROUND_SET_CAP, TABLE_CAP, MINOR_SIZE_CAP, GRAPHIC_SIZE_CAP,
-        CERTIFICATE_CAP)
+        GROUND_SET_CAP, TABLE_CAP, MINOR_SIZE_CAP, GRAPHIC_SIZE_CAP)

@@ -8,6 +8,7 @@ from matroidkit import (
     DomainError,
     PreconditionError,
     ReductionDidNotClose,
+    ResourceLimitError,
     clique,
     direct_sum,
     free_ext_clique,
@@ -39,6 +40,15 @@ def test_canonical_reductions_close(kind, host, want):
     assert events[0] == "minimal-flats"
     assert events[-1] == "leaf"
     assert res.transcript[-1]["validated"] is True
+
+
+def test_every_returned_certificate_is_validated():
+    # free_ext_clique(7): a 22-element target, validated on its bases
+    res = reduce_clique_extension(free_ext_clique(7), 21, 7)
+    assert res.kind == "free" and res.transcript[-1]["validated"] is True
+    # free_ext_clique(8): 29 target elements, over the rank-table cap
+    with pytest.raises(ResourceLimitError):
+        reduce_clique_extension(free_ext_clique(8), 28, 8)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,12 +17,15 @@ from matroidkit.representations import (
     GraphRep,
     LinearRep,
     SignedGraphRep,
+    even_cycle,
     from_graph,
     from_matrix,
     has_blocking_pair,
+    signed_graphic,
 )
-from oracles import gf_rank, graph_rank
-from test_minor_reps import decorated_reps
+from oracles import blocking_pair_walk, gf_rank, graph_minor_walk, graph_rank
+from strategies import graph_reps
+from test_minor_reps import decorated_reps, with_split
 
 
 def _parity_components(n, edges, odd, mask):
@@ -122,8 +127,14 @@ def test_from_graph_rejects_bad_endpoint():
     (GraphRep, (3, ((0, True),))),
     (EvenCycleRep, (3, ((1.0, 2),), frozenset())),
     (SignedGraphRep, (3.0, ((0, 1),), frozenset({0}))),
+    (from_graph, (3, [(0.7, 2.9)])),
+    (even_cycle, (3, [(0.7, 2.9)], ())),
+    (signed_graphic, (3, [(1, 2.0)], (0,))),
+    (from_graph, (3, [(True, 2)])),
 ], ids=["float-count", "bool-count", "str-count", "float-end", "bool-end",
-        "even-cycle-float-end", "signed-float-count"])
+        "even-cycle-float-end", "signed-float-count", "from-graph-float-end",
+        "even-cycle-builder-float-end", "signed-builder-float-end",
+        "from-graph-bool-end"])
 def test_graph_rejects_non_int_vertex_count_or_endpoint(build, args):
     with pytest.raises(GroundSetError):
         build(*args)
@@ -182,6 +193,36 @@ def test_blocking_pair_found_and_absent():
     # signed variant with a coverable odd set
     srep = SignedGraphRep(4, ((0, 1), (0, 2), (0, 3)), frozenset({0, 1, 2}))
     assert has_blocking_pair(srep) == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_split(graph_reps(max_vertices=8)))
+def test_graph_minor_rep_matches_the_walk_over_every_vertex(case):
+    g, (contract, delete) = case
+    minor = g.minor_rep(contract, delete)
+    assert (minor.n_vertices, minor.edges) == graph_minor_walk(
+        g.n_vertices, g.edges, contract, delete)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decorated_reps(max_vertices=8))
+def test_blocking_pair_matches_the_walk_over_every_pair(rep):
+    odd_edges = [rep.edges[i] for i in rep.odd]
+    assert has_blocking_pair(rep) == blocking_pair_walk(rep.n_vertices,
+                                                        odd_edges)
+
+
+def test_graph_minor_cost_does_not_depend_on_n_vertices():
+    path = GraphRep(10**6, tuple((i, i + 1) for i in range(16)))
+    tracemalloc.start()
+    try:
+        minor = path.minor_rep((0,), (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert minor == GraphRep(10**6 - 1, tuple((i, i + 1)
+                                              for i in range(1, 15)))
 
 
 def test_blocking_pair_needs_decorated_graph():

@@ -172,6 +172,17 @@ def test_cli_query_rank_ignores_untouched_vertices(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 3
 
 
+def test_cli_query_blocking_pair_ignores_untouched_vertices(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                "kind": "even-cycle", "n_vertices": 10**6,
+                                "edges": [[5, 7], [7, 999999], [5, 999999]],
+                                "odd": [0, 1, 2]}))
+    argv = ["query", "blocking-pair", "--matroid", str(path), "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == [5, 7]
+
+
 def test_cli_query_deeply_nested_recipe(tmp_path, capsys):
     inner = '{"kind": "graph", "n_vertices": 2, "edges": [[0, 1]]}'
     head = '{"kind": "recipe", "op": "dual", "args": ['
