@@ -19,11 +19,11 @@ from .errors import (
 from .core import (
     GROUND_SET_CAP,
     TABLE_CAP,
-    GroundSet,
     KungReport,
     Matroid,
     MinorCertificate,
     Recipe,
+    check_size,
     circuits,
     closure,
     contract,
@@ -36,7 +36,6 @@ from .core import (
     loops_mask,
     minor_with_map,
     parallel_classes,
-    rank,
     rank_table,
     restriction,
     same_rank_function,

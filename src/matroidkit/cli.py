@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 fail (a test answered "no" or a suite failed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -46,8 +47,6 @@ from .errors import (
 )
 from .exchange import dump, load
 from .minors import (
-    GRAPHIC_SIZE_CAP,
-    MINOR_SIZE_CAP,
     classify_clique_extension,
     has_minor,
     is_graphic,
@@ -236,7 +235,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, workers=args.workers)
+    report = run_suite(args.suite)
     text = report.to_json(runtimes=args.runtimes) if args.json \
         else report.table()
     print(text)
@@ -276,8 +275,7 @@ def cmd_growth_table(args) -> int:
 def cmd_minor_test(args) -> int:
     host = load(args.host)
     target = load(args.target)
-    cap = args.size_cap if args.size_cap is not None else MINOR_SIZE_CAP
-    cert = has_minor(host, target, size_cap=cap)
+    cert = has_minor(host, target)
     found = cert is not None
     doc = {"host": host.name or args.host, "target": target.name or args.target,
            "found": found,
@@ -292,8 +290,7 @@ def cmd_minor_test(args) -> int:
 
 def cmd_graphic_test(args) -> int:
     m = load(args.matroid)
-    cap = args.size_cap if args.size_cap is not None else GRAPHIC_SIZE_CAP
-    rep = is_graphic(m, size_cap=cap)
+    rep = is_graphic(m)
     doc = {"matroid": m.name or args.matroid, "graphic": rep is not None}
     text = "nongraphic (search exhausted)"
     if rep is not None:
@@ -357,6 +354,7 @@ def cmd_membership_suite(args) -> int:
 # parser
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="matroidkit",
@@ -388,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", choices=suite_names())
-    v.add_argument("--workers", type=int, default=1)
     v.add_argument("--json", action="store_true")
     v.add_argument("--runtimes", action="store_true")
     v.add_argument("--out")
@@ -405,14 +402,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mt = sub.add_parser("minor-test", help="search for a target minor")
     mt.add_argument("--host", required=True)
     mt.add_argument("--target", required=True)
-    mt.add_argument("--size-cap", type=int, default=None)
     mt.add_argument("--out")
     mt.add_argument("--json", action="store_true")
     mt.set_defaults(func=cmd_minor_test)
 
     gt = sub.add_parser("graphic-test", help="find a graph realization")
     gt.add_argument("--matroid", required=True)
-    gt.add_argument("--size-cap", type=int, default=None)
     gt.add_argument("--out")
     gt.add_argument("--json", action="store_true")
     gt.set_defaults(func=cmd_graphic_test)
@@ -446,8 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

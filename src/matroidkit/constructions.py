@@ -13,9 +13,9 @@ from typing import Iterable, Optional
 
 from ._bits import elements_of, mask_of, popcount
 from .core import (
-    GroundSet,
     Matroid,
     Recipe,
+    check_size,
     closure_mask,
     contract,
     parallel_classes,
@@ -43,7 +43,7 @@ def clique(n: int) -> Matroid:
     """Cycle matroid of the complete graph on n vertices (rank n-1)."""
     if n < 1:
         raise DomainError("clique needs n >= 1")
-    GroundSet(n * (n - 1) // 2)  # refuses over 64 edges before listing them
+    check_size(n * (n - 1) // 2)
     return from_graph(n, _pairs(n), name=f"clique({n})")
 
 
@@ -51,7 +51,7 @@ def biclique(m: int, n: int) -> Matroid:
     """Cycle matroid of the complete bipartite graph K(m, n)."""
     if m < 1 or n < 1:
         raise DomainError("biclique needs m, n >= 1")
-    GroundSet(m * n)  # refuses over 64 edges before listing them
+    check_size(m * n)
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return from_graph(m + n, edges, name=f"biclique({m},{n})")
 
@@ -74,6 +74,7 @@ def whirl(r: int) -> Matroid:
     """
     if r < 2:
         raise DomainError("whirl needs r >= 2")
+    check_size(2 * r)
     wheel = _wheel(r).matroid()
     rim_mask = ((1 << r) - 1) << r
 
@@ -114,6 +115,7 @@ def square_ext(n: int) -> Matroid:
     """
     if n < 4:
         raise DomainError("square_ext needs n >= 4")
+    check_size(n * (n - 1) // 2 + 1)
     cols = []
     for i, j in _pairs(n):
         col = [0] * n
@@ -136,6 +138,7 @@ def triangle_ext(n: int) -> Matroid:
     """
     if n < 3:
         raise DomainError("triangle_ext needs n >= 3")
+    check_size(n * (n - 1) // 2 + 1)
     nr = n - 1
     cols = []
     for i, j in _pairs(n):
@@ -298,6 +301,7 @@ def spike(r: int) -> Matroid:
     """
     if r < 3:
         raise DomainError("spike needs rank >= 3")
+    check_size(2 * r + 1)
     edges = [(0, 1)]
     for i in range(r):
         edges.append((0, 2 + i))

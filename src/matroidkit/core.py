@@ -37,26 +37,19 @@ TABLE_CAP = 22
 TABLE_BUDGET = 1 << 27
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Dense element ids 0..size-1 with optional display labels."""
+def check_size(n: int) -> int:
+    """n, once it is known to be a ground set size within GROUND_SET_CAP.
 
-    size: int
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise GroundSetError(f"ground set size {self.size} is negative")
-        if self.size > GROUND_SET_CAP:
-            raise ResourceLimitError(
-                f"ground set size {self.size} exceeds cap {GROUND_SET_CAP}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise GroundSetError("labels length must equal ground set size")
-
-    def label(self, e: int) -> str:
-        if self.labels is not None:
-            return self.labels[e]
-        return str(e)
+    Every builder calls this before it allocates anything that grows with
+    n, so an oversized request is refused at no cost.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise GroundSetError(f"ground set size {n!r} is not a non-negative "
+                             "integer")
+    if n > GROUND_SET_CAP:
+        raise ResourceLimitError(
+            f"ground set size {n} exceeds cap {GROUND_SET_CAP}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -133,33 +126,27 @@ class Recipe:
 
 
 class Matroid:
-    """A matroid given by a rank oracle on bitmask subsets.
+    """A matroid on the elements 0..size-1, given by a rank oracle on
+    bitmask subsets.
 
-    rank_mask(mask) must satisfy the rank axioms; construction can verify
-    them exhaustively for small ground sets via validate=True.
+    rank_mask(mask) must satisfy the rank axioms; validate_rank_axioms
+    checks them exhaustively for small ground sets. The size is checked by
+    check_size.
     """
 
-    __slots__ = ("ground", "full_mask", "_rank_mask", "_cache", "_full_rank",
+    __slots__ = ("size", "full_mask", "_rank_mask", "_cache", "_full_rank",
                  "_table", "provenance", "name")
 
-    def __init__(self, ground, rank_mask: Callable[[int], int],
-                 provenance=None, name: str = "", validate: bool = False):
-        if isinstance(ground, int):
-            ground = GroundSet(ground)
-        self.ground = ground
-        self.full_mask = (1 << ground.size) - 1
+    def __init__(self, size: int, rank_mask: Callable[[int], int],
+                 provenance=None, name: str = ""):
+        self.size = check_size(size)
+        self.full_mask = (1 << size) - 1
         self._rank_mask = rank_mask
         self._cache: dict[int, int] = {}
         self._full_rank: Optional[int] = None
         self._table: Optional[np.ndarray] = None
         self.provenance = provenance
         self.name = name
-        if validate:
-            validate_rank_axioms(self)
-
-    @property
-    def size(self) -> int:
-        return self.ground.size
 
     def r(self, mask: int) -> int:
         """Rank of a bitmask subset. Memoized."""
@@ -189,9 +176,6 @@ class Matroid:
                 f"elements {bad} not within 0..{self.size - 1}")
         return mask_of(elements)
 
-    def elements(self, mask: int) -> tuple[int, ...]:
-        return elements_of(mask)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<Matroid{tag} n={self.size} r={self.full_rank()}>"
@@ -199,10 +183,6 @@ class Matroid:
 
 # ---------------------------------------------------------------------------
 # basic queries
-
-
-def rank(m: Matroid, subset: Iterable[int]) -> int:
-    return m.r(m.mask(subset))
 
 
 def independent(m: Matroid, subset: Iterable[int]) -> bool:

@@ -6,7 +6,7 @@ class MatroidError(Exception):
 
 
 class GroundSetError(MatroidError):
-    """Negative ground set size, labels of the wrong length, or an element
+    """A ground set size that is not a non-negative integer, or an element
     id outside the ground set. A ground set over the size cap raises
     ResourceLimitError instead."""
 

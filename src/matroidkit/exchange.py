@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import Matroid, Recipe, direct_sum, dual, minor_with_map
-from .errors import FormatError, SerializationError
+from .core import (Matroid, Recipe, check_size, direct_sum, dual,
+                   minor_with_map)
+from .errors import FormatError, ResourceLimitError, SerializationError
 from .representations import (
     EvenCycleRep,
     GraphRep,
@@ -139,6 +140,7 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
         if n_cols < 0:
             raise FormatError("field 'n_columns' is negative",
                               location=f"{loc}.n_columns")
+        check_size(n_cols)
         rows = _need(obj, "rows", list, loc)
         matrix = []
         for i, row in enumerate(rows):
@@ -150,6 +152,8 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
         cols = tuple(tuple(r[j] for r in matrix) for j in range(n_cols))
         try:
             rep = LinearRep(prime, len(matrix), cols)
+        except ResourceLimitError:
+            raise
         except Exception as exc:
             raise FormatError(str(exc), location=loc) from exc
         return rep.matroid(name=name)
@@ -165,6 +169,8 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
             else:
                 cls = EvenCycleRep if kind == "even-cycle" else SignedGraphRep
                 rep = cls(nv, tuple(edges), odd)
+        except ResourceLimitError:
+            raise
         except Exception as exc:
             raise FormatError(str(exc), location=loc) from exc
         return rep.matroid(name=name)
@@ -232,7 +238,7 @@ def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matro
             deleted = _int_list(param("delete", list), f"{loc}.params.delete")
             n, _ = minor_with_map(args[0], contract, deleted)
             return n
-    except FormatError:
+    except (FormatError, ResourceLimitError):
         raise
     except Exception as exc:
         raise FormatError(str(exc), location=loc) from exc

@@ -34,8 +34,8 @@ GRAPHIC_SIZE_CAP = 18
 # minor containment
 
 
-def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
-              validate: bool = True) -> Optional[MinorCertificate]:
+def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
+              ) -> Optional[MinorCertificate]:
     """Search for a minor of m isomorphic to target; certificate or None.
 
     Complete: every minor is m / C restricted to a subset for some
@@ -48,11 +48,12 @@ def has_minor(m: Matroid, target: Matroid, *, size_cap: int = MINOR_SIZE_CAP,
     provenance builds it, else from m's oracle. With validate, every
     certificate is checked against m's own oracle before it is returned;
     a found certificate whose target has more than TABLE_CAP elements
-    raises ResourceLimitError instead.
+    raises ResourceLimitError instead. A host over MINOR_SIZE_CAP elements
+    raises ResourceLimitError before the search starts.
     """
-    if m.size > size_cap:
-        raise ResourceLimitError(
-            f"minor search over {m.size} elements exceeds cap {size_cap}")
+    if m.size > MINOR_SIZE_CAP:
+        raise ResourceLimitError(f"minor search over {m.size} elements "
+                                 f"exceeds cap {MINOR_SIZE_CAP}")
     table = _built_table(m)
     r = m.r if table is None else table.tobytes().__getitem__
     dr = r(m.full_mask) - target.full_rank()
@@ -111,30 +112,31 @@ def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):
                             tuple(sorted(mapping)))
 
 
-def find_clique_minor(m: Matroid, n: int, **kw) -> Optional[MinorCertificate]:
+def find_clique_minor(m: Matroid, n: int) -> Optional[MinorCertificate]:
     """Certificate for a minor isomorphic to clique(n + 1), or None."""
     if n < 2:
         raise DomainError("clique minors need n >= 2")
-    return has_minor(m, clique(n + 1), **kw)
+    return has_minor(m, clique(n + 1))
 
 
 # ---------------------------------------------------------------------------
 # graphic recognition
 
 
-def is_graphic(m: Matroid, *, size_cap: int = GRAPHIC_SIZE_CAP
-               ) -> Optional[GraphRep]:
+def is_graphic(m: Matroid) -> Optional[GraphRep]:
     """A graph realizing m (edge i is element i), or None.
 
     Every graphic matroid has a connected realization on r(M) + 1 vertices
     (wedge the components at a vertex), so the search places a fixed basis
     as a spanning tree with first-use vertex labels, after which every
     remaining element's position is forced by its fundamental circuit. The
-    winner is checked by exhaustive rank agreement before returning.
+    winner is checked by exhaustive rank agreement before returning. A
+    matroid over GRAPHIC_SIZE_CAP elements raises ResourceLimitError before
+    the search starts.
     """
-    if m.size > size_cap:
-        raise ResourceLimitError(
-            f"graphic test over {m.size} elements exceeds cap {size_cap}")
+    if m.size > GRAPHIC_SIZE_CAP:
+        raise ResourceLimitError(f"graphic test over {m.size} elements "
+                                 f"exceeds cap {GRAPHIC_SIZE_CAP}")
     r = m.full_rank()
     if r == 0:
         return GraphRep(1, tuple((0, 0) for _ in range(m.size)))

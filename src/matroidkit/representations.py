@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._bits import bits, find, union
-from .core import TABLE_BUDGET, Matroid
+from .core import TABLE_BUDGET, Matroid, check_size
 from .errors import DomainError, GroundSetError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -210,6 +210,7 @@ def from_matrix(rows: Sequence[Sequence[int]], prime: int,
             raise DomainError("ragged matrix")
     else:
         width = 0
+    check_size(width)
     columns = tuple(
         tuple(int(rows[i][j]) % prime for i in range(len(rows)))
         for j in range(width)
@@ -224,6 +225,7 @@ def from_matrix(rows: Sequence[Sequence[int]], prime: int,
 def _check_graph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
     if not _is_int(n_vertices) or n_vertices < 0:
         raise GroundSetError("n_vertices must be a non-negative integer")
+    check_size(len(edges))
     for u, v in edges:
         if not (_is_int(u) and _is_int(v)
                 and 0 <= u < n_vertices and 0 <= v < n_vertices):

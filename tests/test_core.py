@@ -16,6 +16,7 @@ from matroidkit import (
 )
 from matroidkit.core import (
     MinorCertificate,
+    check_size,
     circuits,
     closure,
     loops_mask,
@@ -43,7 +44,8 @@ def popcount_rank(cap):
 
 
 def test_matroid_basics():
-    m = Matroid(3, popcount_rank(3), validate=True)
+    m = Matroid(3, popcount_rank(3))
+    validate_rank_axioms(m)
     assert m.size == 3
     assert m.full_mask == 0b111
     assert m.full_rank() == 3
@@ -51,6 +53,21 @@ def test_matroid_basics():
     assert m.rank() == 3
     with pytest.raises(GroundSetError):
         m.mask([5])
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0, "3"])
+def test_check_size_rejects_what_is_not_a_size(n):
+    with pytest.raises(GroundSetError):
+        check_size(n)
+    with pytest.raises(GroundSetError):
+        Matroid(n, popcount_rank(0))
+
+
+def test_check_size_cap_message():
+    assert check_size(64) == 64
+    with pytest.raises(ResourceLimitError) as info:
+        Matroid(65, popcount_rank(65))
+    assert str(info.value) == "ground set size 65 exceeds cap 64"
 
 
 def test_rank_is_memoized_and_method_not_attribute():

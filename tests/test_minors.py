@@ -75,7 +75,6 @@ def test_find_clique_minor():
 def test_minor_size_cap():
     with pytest.raises(ResourceLimitError):
         has_minor(clique(8), clique(3))  # 28 elements over the default cap
-    assert has_minor(clique(8), clique(3), size_cap=28) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,6 @@ def test_is_graphic_rejects(m):
 def test_is_graphic_size_cap():
     with pytest.raises(ResourceLimitError):
         is_graphic(clique(7))  # 21 elements over the default cap
-    assert is_graphic(clique(7), size_cap=21) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Verification suites (report plumbing) and the command-line workbench."""
 
 import json
+import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from matroidkit import (
     triangle_ext,
     uniform,
 )
-from matroidkit.cli import main
+from matroidkit.cli import _build_parser, main
 from matroidkit.exchange import serialize
 
 FROZEN_SUITES = Path(__file__).resolve().parent.parent / "perfbench" / "suites"
@@ -218,25 +220,114 @@ def test_cli_query_bad_odd_field(tmp_path, capsys):
         "error: expected a list of integers (at $.odd)\n"
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (["query", "lambda", "--set", "-1"], 2, "elements [-1] not within 0..5"),
-    (["query", "rank", "--set", "99"], 2, "elements [99] not within 0..5"),
+def _document(tmp_path, body) -> str:
+    """Path of an exchange document with the given body under its header."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format": "matroid-exchange", "version": 1,
+                                **body}))
+    return str(path)
+
+
+_UNIFORM_100 = {"kind": "recipe", "op": "uniform",
+                "params": {"r": 3, "n": 100}}
+_WHIRL_1E9 = {"kind": "recipe", "op": "whirl", "params": {"r": 10 ** 9}}
+
+
+@pytest.mark.parametrize("argv, code, message, doc", [
+    (["query", "lambda", "--set", "-1"], 2, "elements [-1] not within 0..5",
+     None),
+    (["query", "rank", "--set", "99"], 2, "elements [99] not within 0..5",
+     None),
     (["construct", "--family", "clique", "--n", "12"], 3,
-     "ground set size 66 exceeds cap 64"),
+     "ground set size 66 exceeds cap 64", None),
     (["construct", "--family", "clique", "--n", "1000"], 3,
-     "ground set size 499500 exceeds cap 64"),
+     "ground set size 499500 exceeds cap 64", None),
     (["growth-table", "--family", "square", "--n-max", "10"], 3,
-     "ground set size 67 exceeds cap 64"),
+     "ground set size 67 exceeds cap 64", None),
+    (["query", "rank"], 3,
+     "resource limit: ground set size 100 exceeds cap 64", _UNIFORM_100),
+    (["query", "rank"], 3,
+     "resource limit: ground set size 2000000000 exceeds cap 64", _WHIRL_1E9),
 ], ids=["negative-id", "id-past-the-end", "clique-over-cap", "clique1000",
-        "growth-over-cap"])
-def test_cli_element_ids_and_ground_set_cap(argv, code, message, tmp_path,
-                                            capsys):
+        "growth-over-cap", "recipe-over-cap", "recipe-whirl-1e9"])
+def test_cli_element_ids_and_ground_set_cap(argv, code, message, doc,
+                                            tmp_path, capsys):
     if argv[0] == "query":
-        argv = argv[:2] + ["--matroid", _write(tmp_path, "k4.json", clique(4))] \
-            + argv[2:]
+        path = _document(tmp_path, doc) if doc else \
+            _write(tmp_path, "k4.json", clique(4))
+        argv = argv[:2] + ["--matroid", path] + argv[2:]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _refusal(argv, capsys) -> tuple[int, str, int]:
+    """Exit code, stderr and tracemalloc peak of one CLI call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().err, peak
+
+
+_OVER_CAP_FAMILIES = [
+    ("square", ["--n", "1000"], comb(1000, 2) + 1),
+    ("triangle", ["--n", "1000"], comb(1000, 2) + 1),
+    ("free", ["--n", "1000"], comb(1000, 2)),
+    ("n-square", ["--n", "1000"], comb(1002, 2) + 1),
+    ("n-triangle", ["--n", "1000"], comb(1002, 2) + 1),
+    ("clique", ["--n", "1000"], comb(1000, 2)),
+    ("truncated-clique", ["--n", "1000"], comb(1000, 2)),
+    ("biclique", ["--m", "1000", "--n", "1000"], 10 ** 6),
+    ("uniform", ["--rank", "2", "--n", "1000000"], 10 ** 6),
+    ("whirl", ["--rank", "1000000"], 2 * 10 ** 6),
+    ("spike", ["--r", "1000000"], 2 * 10 ** 6 + 1),
+]
+
+
+@pytest.mark.parametrize("family, options, size", _OVER_CAP_FAMILIES,
+                         ids=[case[0] for case in _OVER_CAP_FAMILIES])
+def test_cli_construct_over_the_cap_refuses_before_building(
+        family, options, size, capsys):
+    code, err, peak = _refusal(["construct", "--family", family] + options,
+                               capsys)
+    assert code == 3
+    assert err == f"resource limit: ground set size {size} exceeds cap 64\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("doc, size", [
+    ({"kind": "linear", "prime": 2, "n_columns": 10 ** 9, "rows": []},
+     10 ** 9),
+    ({"kind": "linear", "prime": 3, "n_columns": 10 ** 9, "rows": []},
+     10 ** 9),
+    (_WHIRL_1E9, 2 * 10 ** 9),
+], ids=["linear-gf2", "linear-gf3", "recipe-whirl"])
+def test_cli_document_over_the_cap_refuses_before_building(
+        doc, size, tmp_path, capsys):
+    code, err, peak = _refusal(
+        ["query", "rank", "--matroid", _document(tmp_path, doc)], capsys)
+    assert code == 3
+    assert err == f"resource limit: ground set size {size} exceeds cap 64\n"
+    assert peak < 1 << 20
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    valid = ["query", "rank", "--set", "0,1",
+             "--matroid", _write(tmp_path, "k4.json", clique(4))]
+    assert main(valid) == 0
+    alone = capsys.readouterr().out
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["query", "rank", "--set", "0,1"])  # no --matroid
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(valid) == 0
+    assert capsys.readouterr().out == alone
+    assert main(["construct", "--family", "fano"]) == 0
+    assert _build_parser.cache_info().misses == 1
 
 
 def _exit_code(argv) -> int:
@@ -262,7 +353,15 @@ def _options(draw, spec):
 
 @st.composite
 def _cli_argvs(draw, paths):
-    command = draw(st.sampled_from(("query", "construct", "growth-table")))
+    command = draw(st.sampled_from((
+        "query", "construct", "growth-table", "minor-test", "graphic-test")))
+    json_flag = draw(st.sampled_from(([], ["--json"])))
+    if command == "minor-test":
+        return ["minor-test", f"--host={draw(st.sampled_from(paths))}",
+                f"--target={draw(st.sampled_from(paths))}"] + json_flag
+    if command == "graphic-test":
+        return ["graphic-test",
+                f"--matroid={draw(st.sampled_from(paths))}"] + json_flag
     if command == "query":
         query = draw(st.sampled_from((
             "rank", "epsilon", "lambda", "kappa", "local-conn", "vertical",
@@ -289,7 +388,8 @@ def fuzz_matroid_paths(tmp_path_factory):
     return [_write(d, name, m) for name, m in (
         ("k4.json", clique(4)), ("fano.json", fano()),
         ("u24.json", uniform(2, 4)),
-        ("ec.json", n_square_even_cycle_rep(3).matroid()))]
+        ("ec.json", n_square_even_cycle_rep(3).matroid()))] \
+        + [_document(d, _WHIRL_1E9)]
 
 
 @settings(max_examples=150, deadline=None,
@@ -298,7 +398,10 @@ def fuzz_matroid_paths(tmp_path_factory):
 def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_matroid_paths, data,
                                                     capsys):
     argv = data.draw(_cli_argvs(fuzz_matroid_paths))
-    assert _exit_code(argv) in (0, 2, 3), argv
+    # a search that answers "no" exits 1
+    codes = (0, 1, 2, 3) if argv[0] in ("minor-test", "graphic-test") \
+        else (0, 2, 3)
+    assert _exit_code(argv) in codes, argv
     assert "Traceback" not in capsys.readouterr().err
 
 
