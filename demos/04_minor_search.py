@@ -3,10 +3,13 @@ Minor search, graphicness, and the extension dichotomy
 ======================================================
 
 has_minor runs a pruned exhaustive search and returns a certificate that
-replays as contractions and deletions; is_graphic searches for a graph
-realization. Together they drive the one-element dichotomy: a point added
-to a clique either keeps the matroid graphic for a trivial reason, or the
-extension reduces to a member of one of three canonical families.
+replays as contractions and deletions; is_graphic reads a graph
+realization off the rank table, with no search: it splits the matroid at
+its 1- and 2-separations and takes each 3-connected part's vertices to be
+its non-separating cocircuits. Together they drive the one-element
+dichotomy: a point added to a clique either keeps the matroid graphic for
+a trivial reason, or the extension reduces to a member of one of three
+canonical families.
 """
 
 from matroidkit import (

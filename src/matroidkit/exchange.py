@@ -113,6 +113,7 @@ def _int_list(v, loc: str) -> list[int]:
 
 def _edge_list(obj: dict, loc: str) -> list[tuple[int, int]]:
     raw = _need(obj, "edges", list, loc)
+    check_size(len(raw))  # before any edge is parsed
     edges = []
     for i, pair in enumerate(raw):
         pair_loc = f"{loc}.edges[{i}]"

@@ -1,8 +1,9 @@
 """Exhaustive minor containment with certificates, graphic recognition,
 extension classification, and spike splitting witnesses.
 
-Each search is complete within an explicit size cap and raises a resource
-error beyond it; no search returns a silently wrong negative.
+The minor search is complete within an explicit size cap, and graphic
+recognition within the rank table's; each raises a resource error beyond
+it, and neither returns a silently wrong negative.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bits import bits, elements_of, find, mask_of
+import numpy as np
+
+from ._bits import bits, elements_of, mask_of, spread
 from .core import (
     Matroid,
     MinorCertificate,
     _built_table,
     _point_classes,
     minor_with_map,
+    rank_table,
     restriction,
     same_rank_function,
 )
@@ -27,7 +31,6 @@ from .representations import GraphRep
 from .constructions import clique, is_spike, uniform
 
 MINOR_SIZE_CAP = 24
-GRAPHIC_SIZE_CAP = 18
 
 
 # ---------------------------------------------------------------------------
@@ -126,128 +129,105 @@ def find_clique_minor(m: Matroid, n: int) -> Optional[MinorCertificate]:
 def is_graphic(m: Matroid) -> Optional[GraphRep]:
     """A graph realizing m (edge i is element i), or None.
 
-    Every graphic matroid has a connected realization on r(M) + 1 vertices
-    (wedge the components at a vertex), so the search places a fixed basis
-    as a spanning tree with first-use vertex labels, after which every
-    remaining element's position is forced by its fundamental circuit. The
-    winner is checked by exhaustive rank agreement before returning. A
-    matroid over GRAPHIC_SIZE_CAP elements raises ResourceLimitError before
-    the search starts.
+    The graph is read off m's rank table, so a matroid over TABLE_CAP
+    elements raises ResourceLimitError before any work. m splits at 1- and
+    2-separations found on the table's lambda values, the vertices of each
+    3-connected part are its non-separating cocircuits, and the parts'
+    graphs are glued back at a vertex or along the 2-sum's marker edge.
+    The result is connected on r(M) + 1 vertices, and it is checked by
+    exhaustive rank agreement before returning, which also turns away
+    every non-binary m.
     """
-    if m.size > GRAPHIC_SIZE_CAP:
-        raise ResourceLimitError(f"graphic test over {m.size} elements "
-                                 f"exceeds cap {GRAPHIC_SIZE_CAP}")
-    r = m.full_rank()
-    if r == 0:
-        return GraphRep(1, tuple((0, 0) for _ in range(m.size)))
-
-    classes, _ = _point_classes(m.r, 0, range(m.size))
+    table = rank_table(m)
+    r = int(table[-1])
+    classes, _ = _point_classes(table.tobytes().__getitem__, 0, range(m.size))
     # simple rank-r graphic matroids top out at a clique
     if len(classes) > r * (r + 1) // 2:
         return None
-
-    rep_of = {e: cls[0] for cls in classes for e in cls}
-    reps = sorted(cls[0] for cls in classes)
-
-    basis: list[int] = []
-    bmask = 0
-    for e in reps:
-        if m.r(bmask | (1 << e)) > len(basis):
-            basis.append(e)
-            bmask |= 1 << e
-    in_basis = set(basis)
-    rest = [e for e in reps if e not in in_basis]
-    forced = _fundamental_circuits(m, basis, bmask, rest)
-    if forced is None:
+    edges = _realize(table)
+    if edges is None:
         return None
-
-    placement = _place_tree(basis, rest, forced, r)
-    if placement is None:
-        return None
-
-    edges = tuple(  # loops are in no class
-        placement[rep_of[e]] if e in rep_of else (0, 0)
-        for e in range(m.size)
-    )
-    rep = GraphRep(r + 1, edges)
+    rep = GraphRep(r + 1, tuple(edges))
     if not same_rank_function(m, rep.matroid()):
         return None
     return rep
 
 
-def _fundamental_circuits(m, basis, bmask, rest) -> Optional[dict[int, int]]:
-    """For each non-basis element, the basis part of its unique circuit."""
-    out = {}
-    nb = len(basis)
-    for e in rest:
-        if m.r(bmask | (1 << e)) != nb:
-            return None
-        circ = 0
-        for b in basis:
-            if m.r((bmask ^ (1 << b)) | (1 << e)) == nb:
-                circ |= 1 << b
-        out[e] = circ
-    return out
+def _realize(t: np.ndarray) -> Optional[list[tuple[int, int]]]:
+    """Edges of a connected graph on r + 1 vertices whose cycle matroid
+    has rank table t (element i is edge i), or None when there is none."""
+    k = t.size.bit_length() - 1
+    r = int(t[-1])
+    full = t.size - 1
+    if k <= 1:
+        return [(0, r)] * k  # a loop or an edge
+    lam = t + t[::-1]  # r(X) + r(E - X), as t[::-1][X] = t[E - X]
+    a = int(np.argmax(lam[1:-1] == r)) + 1
+    marked = lam[a] != r  # no 1-separation
+    if marked:
+        if k <= 3:  # connected: U(1,2), U(1,3) or U(2,3)
+            return [(0, 1)] * k if r == 1 else [(0, 1), (1, 2), (0, 2)]
+        two = lam == r + 1
+        for e in range(k):  # each element and its complement has lambda 1
+            two[1 << e] = two[full ^ 1 << e] = False
+        a = int(np.argmax(two))
+        if not two[a]:
+            return _stars(t, k, r)
+    # the sides' graphs meet at one vertex, or for a 2-sum along the ends
+    # of the marker edge that each side gains, which is then dropped
+    b = full ^ a
+    ga, gb = _realize(_side(t, a, b, marked)), _realize(_side(t, b, a, marked))
+    if ga is None or gb is None:
+        return None
+    label = dict(zip(gb.pop(), ga.pop())) if marked else {0: 0}
+    fresh = itertools.count(int(t[a]) + 1)
+    label.update((v, next(fresh)) for v in range(int(t[b]) + 1)
+                 if v not in label)
+    edges = dict(zip(bits(a), ga))
+    edges.update((e, (label[u], label[v])) for e, (u, v) in zip(bits(b), gb))
+    return [edges[e] for e in range(k)]
 
 
-def _place_tree(basis, rest, forced, r):
-    """Backtracking spanning-tree placement with canonical vertex labels.
+def _side(t: np.ndarray, a: int, b: int, marked: bool) -> np.ndarray:
+    """Rank table of the restriction to a, plus, when marked, the 2-sum
+    marker p as its last element: r(Y + p) = r(Y + b) - r(b) + 1."""
+    wa = [1 << e for e in bits(a)]
+    side = t[spread(0, wa)]
+    if not marked:
+        return side
+    return np.concatenate([side, t[spread(b, wa)] - (int(t[b]) - 1)])
 
-    Vertices are numbered by first use, so each edge either joins two used
-    vertices, one used vertex and the next fresh label, or the next two
-    labels. Up to relabeling this covers every spanning tree.
+
+def _stars(t: np.ndarray, k: int, r: int) -> Optional[list[tuple[int, int]]]:
+    """Edges of a 3-connected part, or None.
+
+    In a 3-connected graph the vertex stars are exactly the cocircuits D
+    whose complement M | (E - D) is connected (Tutte 1963): G - v stays
+    2-connected, and any other bond leaves an edge on both sides. So the
+    part is graphic only when it has r + 1 such cocircuits and every
+    element lies in two; the elements then join the cocircuits that
+    contain them.
     """
-    n_b = len(basis)
-
-    def search(i, comp, used, placed):
-        if i == n_b:
-            return _force_rest(rest, forced, placed)
-        options = [(a, b) for a in range(used) for b in range(a + 1, used)]
-        if used < r + 1:
-            options += [(a, used) for a in range(used)]
-        if used + 1 < r + 1:
-            options.append((used, used + 1))
-        for a, b in options:
-            ra, rb = find(comp, a), find(comp, b)
-            if ra == rb:
-                continue  # basis edges must keep the graph a forest
-            comp2 = list(comp)
-            comp2[max(ra, rb)] = min(ra, rb)
-            got = search(i + 1, comp2, max(used, b + 1),
-                         {**placed, basis[i]: (a, b)})
-            if got is not None:
-                return got
+    closed = t == r - 1  # hyperplanes: the closed masks of rank r - 1
+    for e in range(k):
+        v, c = t.reshape(-1, 2, 1 << e), closed.reshape(-1, 2, 1 << e)
+        c[:, 0] &= v[:, 1] > v[:, 0]
+    hyper = np.flatnonzero(closed)
+    for e in range(k):  # drop H when e in H is a coloop of M|H
+        hyper = hyper[t[hyper ^ 1 << e] >= r - 1]
+    stars = []
+    for h in hyper.tolist():
+        low = h & -h
+        ys = spread(low, [1 << e for e in bits(h ^ low)])[:-1]
+        if not np.any(t[ys] + t[h ^ ys] == r - 1):  # M|H is connected
+            stars.append(t.size - 1 ^ h)
+            if len(stars) > r + 1:
+                return None
+    ends = [tuple(i for i, d in enumerate(stars) if d >> e & 1)
+            for e in range(k)]
+    if len(stars) != r + 1 or any(len(uv) != 2 for uv in ends):
         return None
-
-    return search(0, list(range(r + 1)), 0, {})
-
-
-def _force_rest(rest, forced, placed):
-    """Tree is fixed; each leftover element must close its circuit's path."""
-    used_pairs = set(placed.values())
-    out = dict(placed)
-    for e in rest:
-        ends = _path_endpoints(placed, forced[e])
-        if ends is None:
-            return None
-        pair = (min(ends), max(ends))
-        if pair in used_pairs:
-            return None  # would be parallel to an earlier element
-        used_pairs.add(pair)
-        out[e] = pair
-    return out
-
-
-def _path_endpoints(placed, circ_mask) -> Optional[tuple[int, int]]:
-    """Endpoints of the given tree edges if they form a path, else None."""
-    degree: dict[int, int] = {}
-    for e in bits(circ_mask):
-        for v in placed[e]:
-            degree[v] = degree.get(v, 0) + 1
-    odd = [v for v, d in degree.items() if d % 2 == 1]
-    if len(odd) != 2 or any(d != 2 for v, d in degree.items() if v not in odd):
-        return None
-    return odd[0], odd[1]
+    return ends
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,9 @@ class _DecoratedGraphRep:
     def rank_table_fast(self) -> Optional[np.ndarray]:
         return self.to_linear().rank_table_fast()
 
-    def _deletion(self, contract: tuple[int, ...], delete: tuple[int, ...]):
-        if contract:
-            return None  # contractions leave the class; fall back to a recipe
+    def _minor(self, contract: tuple[int, ...], delete: tuple[int, ...]):
+        if contract:  # contractions leave the class but not its matrix
+            return self.to_linear().minor_rep(contract, delete)
         gone = set(delete)
         keep = [i for i in range(len(self.edges)) if i not in gone]
         renum = {old: new for new, old in enumerate(keep)}
@@ -349,7 +349,7 @@ class EvenCycleRep(_DecoratedGraphRep):
         return LinearRep(2, len(row) + 1, _unpack(packed, len(row) + 1))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
-        return self._deletion(contract, delete)
+        return self._minor(contract, delete)
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ class SignedGraphRep(_DecoratedGraphRep):
         return LinearRep(3, len(row), tuple(columns))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
-        return self._deletion(contract, delete)
+        return self._minor(contract, delete)
 
 
 def even_cycle(n_vertices: int, edges: Iterable[tuple[int, int]],

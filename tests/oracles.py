@@ -230,7 +230,8 @@ def is_clique(m) -> bool:
     A simple graphic matroid of rank r with r(r+1)/2 elements is M(K_{r+1}):
     a connected realization has r + 1 vertices, and a simple graph on them
     with that many edges is complete. The graphic test is the package's
-    spanning-tree search, which shares no code with its clique labelling.
+    is_graphic, which reads vertex stars off cocircuits and shares no code
+    with its clique labelling.
     """
     from matroidkit import is_graphic
 
@@ -241,6 +242,78 @@ def is_clique(m) -> bool:
            for e, f in itertools.combinations(range(n), 2)):
         return False
     return n == r * (r + 1) // 2 and is_graphic(m) is not None
+
+
+def graphic_tree_search(m):
+    """(vertex count, edges) of a graph realizing m, or None, by trying
+    every labelled spanning tree for a basis (at most 10 elements).
+
+    A graphic matroid has a connected realization on r + 1 vertices, so a
+    fixed basis of the parallel-class representatives is placed as a
+    spanning tree with vertices numbered by first use; every other
+    representative must then close a path of the tree, its fundamental
+    circuit, and its parallel copies and the loops follow. The first
+    placement whose graph ranks every subset as m does is returned.
+    """
+    n, r = m.size, m.full_rank()
+    assert n <= 10, "the tree search is a reference for small inputs"
+    reps, rep_of = [], {}
+    for e in range(n):
+        if m.r(1 << e) == 0:
+            continue
+        twin = next((f for f in reps if m.r((1 << e) | (1 << f)) == 1), e)
+        if twin == e:
+            reps.append(e)
+        rep_of[e] = twin
+    basis, bmask = [], 0
+    for e in reps:
+        if m.r(bmask | (1 << e)) > len(basis):
+            basis.append(e)
+            bmask |= 1 << e
+    rest = [e for e in reps if e not in basis]
+    circuit = {e: [b for b in basis
+                   if m.r((bmask ^ (1 << b)) | (1 << e)) == r] for e in rest}
+
+    def close_paths(placed):
+        out, used = dict(placed), set(placed.values())
+        for e in rest:
+            degree = {}
+            for b in circuit[e]:
+                for v in placed[b]:
+                    degree[v] = degree.get(v, 0) + 1
+            odd = sorted(v for v, d in degree.items() if d % 2)
+            if len(odd) != 2 or any(d != 2 for v, d in degree.items()
+                                    if v not in odd):
+                return None
+            if tuple(odd) in used:
+                return None
+            used.add(tuple(odd))
+            out[e] = tuple(odd)
+        edges = tuple(out[rep_of[e]] if e in rep_of else (0, 0)
+                      for e in range(n))
+        if all(graph_rank(r + 1, edges, s) == m.r(s) for s in range(1 << n)):
+            return r + 1, edges
+        return None
+
+    def place(i, comp, used, placed):
+        if i == len(basis):
+            return close_paths(placed)
+        options = list(itertools.combinations(range(used), 2))
+        if used < r + 1:
+            options += [(a, used) for a in range(used)]
+        if used + 1 < r + 1:
+            options.append((used, used + 1))
+        for a, b in options:
+            if comp[a] == comp[b]:
+                continue  # the tree edges must stay a forest
+            merged = [comp[a] if c == comp[b] else c for c in comp]
+            got = place(i + 1, merged, max(used, b + 1),
+                        {**placed, basis[i]: (a, b)})
+            if got is not None:
+                return got
+        return None
+
+    return place(0, list(range(r + 1)), 0, {})
 
 
 def tangle_rank_walk(t, xmask: int) -> int:

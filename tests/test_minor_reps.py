@@ -15,7 +15,6 @@ from matroidkit.constructions import free_extension, truncation
 from matroidkit.core import (
     Matroid,
     MinorCertificate,
-    Recipe,
     dual,
     minor_with_map,
     validate_certificate,
@@ -94,15 +93,15 @@ def test_decorated_graph_minors(case):
     rep, (contract, delete) = case
     host = rep.matroid()
     minor = _check_minor(host, contract, delete)
-    if contract:  # contraction leaves the class: a recipe over the host
-        assert isinstance(minor.provenance, Recipe)
+    if contract:  # contraction leaves the class but not its matrix
+        assert isinstance(minor.provenance, LinearRep)
     else:
         assert type(minor.provenance) is type(rep)
-        fresh = rep.matroid()
-        deleted, _ = minor_with_map(fresh, (), delete)
-        for mask in range(1 << deleted.size):
-            deleted.r(mask)
-        assert len(fresh._cache) == 0
+    fresh = rep.matroid()
+    again, _ = minor_with_map(fresh, contract, delete)
+    for mask in range(1 << again.size):
+        again.r(mask)
+    assert len(fresh._cache) == 0  # the minor never asked the host
 
 
 def _perturb(cert, rng):

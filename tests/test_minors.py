@@ -1,6 +1,8 @@
 """Minor search, graphicness testing, extension dichotomy, spike splitting."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from matroidkit import (
     classify_clique_extension,
     clique,
     direct_sum,
+    dual,
     fano,
     find_clique_minor,
     free_ext_clique,
@@ -38,7 +41,8 @@ from matroidkit import (
 from matroidkit.core import same_rank_function
 from matroidkit.minors import _clique_realization
 from matroidkit.representations import GraphRep
-from oracles import certificate_walk, graph_rank, is_clique, minor_brute
+from oracles import (certificate_walk, graph_rank, graphic_tree_search,
+                     is_clique, minor_brute)
 from strategies import graph_reps, linear_reps
 
 
@@ -187,7 +191,67 @@ def test_is_graphic_rejects(m):
 
 def test_is_graphic_size_cap():
     with pytest.raises(ResourceLimitError):
-        is_graphic(clique(7))  # 21 elements over the default cap
+        is_graphic(clique(8))  # 28 elements, over the rank table's cap
+
+
+def test_is_graphic_reads_a_21_element_clique():
+    rep = is_graphic(clique(7))
+    assert rep is not None and rep.n_vertices == 7
+
+
+# the excluded minors for graphicness, and two non-binary whirls
+NONGRAPHIC = [uniform(2, 4), fano(), dual(fano()), dual(clique(5)),
+              dual(biclique(3, 3)), whirl(3), whirl(4)]
+
+
+def graphicness_inputs():
+    """Matroids of at most 10 elements, graphic and not."""
+    graphs = graph_reps(max_vertices=6, max_edges=10).map(
+        lambda rep: rep.matroid())
+    sums = st.tuples(st.sampled_from(NONGRAPHIC[:3] + NONGRAPHIC[5:6]),
+                     graph_reps(max_vertices=3, max_edges=3), st.booleans())
+    return st.one_of(
+        graphs,
+        graphs.map(lambda m: Matroid(m.size, m._rank_mask)),
+        graph_reps(max_edges=8).map(lambda rep: dual(rep.matroid())),
+        linear_reps(max_rows=5, max_cols=10, primes=(2, 3)).map(
+            lambda rep: rep.matroid()),
+        st.sampled_from(NONGRAPHIC),
+        sums.map(lambda s: direct_sum(s[0], s[1].matroid()) if s[2]
+                 else direct_sum(s[1].matroid(), s[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphicness_inputs())
+def test_is_graphic_matches_the_tree_search(m):
+    rep = is_graphic(m)
+    assert (rep is not None) == (graphic_tree_search(m) is not None)
+    if rep is not None:
+        n_vertices, edges = rep.n_vertices, rep.edges
+        assert n_vertices == m.full_rank() + 1
+        assert graph_rank(n_vertices, edges, m.full_mask) == n_vertices - 1
+        assert all(graph_rank(n_vertices, edges, s) == m.r(s)
+                   for s in range(1 << m.size))
+
+
+def _tree_plus_edges(seed: int, n_vertices: int, n_edges: int) -> Matroid:
+    """A random spanning tree plus random non-loop edges, shuffled."""
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n_vertices)]
+    edges += [tuple(rng.sample(range(n_vertices), 2))
+              for _ in range(n_edges - n_vertices + 1)]
+    rng.shuffle(edges)
+    return from_graph(n_vertices, edges)
+
+
+def test_is_graphic_on_dense_random_graphs_is_fast():
+    # a basis-tree search took seconds on each of these
+    graphs = [_tree_plus_edges(seed, nv, ne)
+              for nv, ne in ((10, 16), (12, 18)) for seed in range(5)]
+    start = time.perf_counter()
+    reps = [is_graphic(m) for m in graphs]
+    assert time.perf_counter() - start < 1.0
+    assert all(rep is not None for rep in reps)
 
 
 # ---------------------------------------------------------------------------

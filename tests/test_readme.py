@@ -4,14 +4,13 @@ import re
 from pathlib import Path
 
 from matroidkit.core import GROUND_SET_CAP, TABLE_CAP
-from matroidkit.minors import GRAPHIC_SIZE_CAP, MINOR_SIZE_CAP
+from matroidkit.minors import MINOR_SIZE_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 HARD_CAPS = re.compile(
     r"Hard caps: (\d+) elements per matroid, (\d+) for anything that sweeps "
-    r"all `2\^n` subsets \([^)]*\), (\d+) / (\d+) for minor / graphicness "
-    r"search\.")
+    r"all `2\^n` subsets \([^)]*\), (\d+) for minor search\.")
 
 
 def test_readme_hard_caps_are_the_constants():
@@ -19,4 +18,4 @@ def test_readme_hard_caps_are_the_constants():
     found = HARD_CAPS.search(text)
     assert found, "README lost its 'Hard caps:' sentence"
     assert tuple(map(int, found.groups())) == (
-        GROUND_SET_CAP, TABLE_CAP, MINOR_SIZE_CAP, GRAPHIC_SIZE_CAP)
+        GROUND_SET_CAP, TABLE_CAP, MINOR_SIZE_CAP)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
+    ResourceLimitError,
     clique,
     dual,
     dump,
@@ -19,12 +20,13 @@ from matroidkit import (
     n_square_even_cycle_rep,
     n_triangle_signed_rep,
     run_suite,
+    square_ext,
     suite_names,
     triangle_ext,
     uniform,
 )
 from matroidkit.cli import _build_parser, main
-from matroidkit.exchange import serialize
+from matroidkit.exchange import deserialize, serialize
 
 FROZEN_SUITES = Path(__file__).resolve().parent.parent / "perfbench" / "suites"
 
@@ -314,6 +316,38 @@ def test_cli_document_over_the_cap_refuses_before_building(
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("kind", ["graph", "even-cycle", "signed-graph"])
+def test_an_oversized_edge_list_is_refused_before_its_edges_are_parsed(
+        kind, tmp_path, capsys):
+    path = _document(tmp_path, {"kind": kind, "n_vertices": 20001,
+                                "edges": [[i, i + 1] for i in range(20000)]})
+    text = Path(path).read_text()
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ResourceLimitError):
+            deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= parse_peak + (256 << 10)
+    assert main(["query", "rank", "--matroid", path]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: ground set size 20000 exceeds cap 64\n"
+
+
+def test_cli_graphic_test_over_the_table_cap_refuses_before_building(
+        tmp_path, capsys):
+    path = _document(tmp_path, {"kind": "graph", "n_vertices": 24,
+                                "edges": [[i, i + 1] for i in range(23)]})
+    code, err, peak = _refusal(["graphic-test", "--matroid", path], capsys)
+    assert code == 3
+    assert err == "resource limit: rank table needs |E| <= 22, got 23\n"
+    assert peak < 1 << 20
+
+
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     valid = ["query", "rank", "--set", "0,1",
              "--matroid", _write(tmp_path, "k4.json", clique(4))]
@@ -354,8 +388,22 @@ def _options(draw, spec):
 @st.composite
 def _cli_argvs(draw, paths):
     command = draw(st.sampled_from((
-        "query", "construct", "growth-table", "minor-test", "graphic-test")))
+        "query", "construct", "growth-table", "minor-test", "graphic-test",
+        "classify-extension", "reduce-extension", "membership-suite",
+        "verify")))
     json_flag = draw(st.sampled_from(([], ["--json"])))
+    if command in ("classify-extension", "reduce-extension"):
+        options = [("element", _INTS)]
+        if command == "reduce-extension":
+            options.append(("m", _INTS))
+        return [command, f"--matroid={draw(st.sampled_from(paths))}"] \
+            + _options(draw, options) + json_flag
+    if command == "membership-suite":
+        return ["membership-suite", draw(st.sampled_from((
+            "square", "triangle", "circle", "nope")))] + json_flag
+    if command == "verify":
+        return ["verify", draw(st.sampled_from(suite_names() + ["nope"]))] \
+            + json_flag + draw(st.sampled_from(([], ["--runtimes"])))
     if command == "minor-test":
         return ["minor-test", f"--host={draw(st.sampled_from(paths))}",
                 f"--target={draw(st.sampled_from(paths))}"] + json_flag
@@ -388,7 +436,8 @@ def fuzz_matroid_paths(tmp_path_factory):
     return [_write(d, name, m) for name, m in (
         ("k4.json", clique(4)), ("fano.json", fano()),
         ("u24.json", uniform(2, 4)),
-        ("ec.json", n_square_even_cycle_rep(3).matroid()))] \
+        ("ec.json", n_square_even_cycle_rep(3).matroid()),
+        ("t4.json", triangle_ext(4)), ("s5.json", square_ext(5)))] \
         + [_document(d, _WHIRL_1E9)]
 
 
@@ -398,9 +447,9 @@ def fuzz_matroid_paths(tmp_path_factory):
 def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_matroid_paths, data,
                                                     capsys):
     argv = data.draw(_cli_argvs(fuzz_matroid_paths))
-    # a search that answers "no" exits 1
-    codes = (0, 1, 2, 3) if argv[0] in ("minor-test", "graphic-test") \
-        else (0, 2, 3)
+    # a search that answers "no", or a check that fails, exits 1
+    codes = (0, 2, 3) if argv[0] in ("query", "construct", "growth-table") \
+        else (0, 1, 2, 3)
     assert _exit_code(argv) in codes, argv
     assert "Traceback" not in capsys.readouterr().err
 
