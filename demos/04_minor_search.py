@@ -3,18 +3,22 @@ Minor search, graphicness, and the extension dichotomy
 ======================================================
 
 has_minor runs a pruned exhaustive search and returns a certificate that
-replays as contractions and deletions; is_graphic reads a graph
-realization off the rank table, with no search: it splits the matroid at
-its 1- and 2-separations and takes each 3-connected part's vertices to be
-its non-separating cocircuits. Together they drive the one-element
-dichotomy: a point added to a clique either keeps the matroid graphic for
-a trivial reason, or the extension reduces to a member of one of three
-canonical families.
+replays as contractions and deletions. Many negatives are decided by class
+before any search: minors of a graph are graphic and minors of a GF(2) or
+GF(3) matrix are representable over that field, so a target that is not
+(the four-point line in a binary host, say) is answered "no" at once.
+is_graphic reads a graph realization off the rank table, with no search:
+it splits the matroid at its 1- and 2-separations and takes each
+3-connected part's vertices to be its non-separating cocircuits.
+Together they drive the one-element dichotomy: a point added to a clique
+either keeps the matroid graphic for a trivial reason, or the extension
+reduces to a member of one of three canonical families.
 """
 
 from matroidkit import (
     classify_clique_extension,
     clique,
+    dual,
     fano,
     free_ext_clique,
     has_minor,
@@ -33,6 +37,10 @@ cert = has_minor(host, uniform(2, 3))
 print("U(2,3) inside K_4:", cert is not None,
       "- contract", sorted(cert.contract), "delete", sorted(cert.delete))
 print("U(2,4) inside K_4:", has_minor(host, uniform(2, 4)) is not None)
+
+# minors of a graph are graphic, so the dual Fano plane is ruled out in K_7
+# by its class, where a search would try all 210 contraction pairs
+print("F7* inside K_7:", has_minor(clique(7), dual(fano())) is not None)
 
 # certificates replay independently of the search that produced them
 print("certificate revalidates:",

@@ -53,6 +53,7 @@ from .representations import (
     from_matrix,
     has_blocking_pair,
     signed_graphic,
+    standard_rep,
 )
 from .constructions import (
     SpikeDecomposition,

@@ -280,7 +280,7 @@ def cmd_minor_test(args) -> int:
     doc = {"host": host.name or args.host, "target": target.name or args.target,
            "found": found,
            "certificate": _cert_doc(cert) if found else None}
-    text = "no minor (search exhausted)"
+    text = "no minor"
     if found:
         text = (f"minor found: contract {sorted(cert.contract)}, "
                 f"delete {sorted(cert.delete)}")
@@ -292,7 +292,7 @@ def cmd_graphic_test(args) -> int:
     m = load(args.matroid)
     rep = is_graphic(m)
     doc = {"matroid": m.name or args.matroid, "graphic": rep is not None}
-    text = "nongraphic (search exhausted)"
+    text = "nongraphic"
     if rep is not None:
         doc["n_vertices"] = rep.n_vertices
         doc["edges"] = [list(e) for e in rep.edges]

@@ -52,6 +52,14 @@ def check_size(n: int) -> int:
     return n
 
 
+def check_table_size(n: int) -> int:
+    """n, once a rank table over n elements is within TABLE_CAP."""
+    if n > TABLE_CAP:
+        raise ResourceLimitError(
+            f"rank table needs |E| <= {TABLE_CAP}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Recipe:
     """Provenance node for oracle-built matroids (transformers, families).
@@ -453,10 +461,7 @@ def rank_table(m: Matroid) -> np.ndarray:
     workspace would exceed TABLE_BUDGET bytes walks the oracle once per
     subset instead.
     """
-    n = m.size
-    if n > TABLE_CAP:
-        raise ResourceLimitError(
-            f"rank table needs |E| <= {TABLE_CAP}, got {n}")
+    n = check_table_size(m.size)
     table = _built_table(m)
     if table is None:
         table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
@@ -476,6 +481,13 @@ def _built_table(m: Matroid) -> Optional[np.ndarray]:
             table.setflags(write=False)
             m._table = table
     return m._table
+
+
+def rank_reader(m: Matroid) -> Callable[[int], int]:
+    """m's ranks by mask: read from its rank table when it is cached or
+    m's provenance builds it, else m.r."""
+    table = _built_table(m)
+    return m.r if table is None else table.tobytes().__getitem__
 
 
 def validate_rank_axioms(m: Matroid) -> None:

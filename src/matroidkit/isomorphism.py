@@ -11,7 +11,7 @@ import itertools
 from typing import Optional
 
 from ._bits import popcount
-from .core import (Matroid, _built_table, loops_mask, parallel_classes,
+from .core import (Matroid, loops_mask, parallel_classes, rank_reader,
                    rank_table)
 from .errors import ResourceLimitError
 
@@ -108,8 +108,7 @@ def find_embedding(host: Matroid, target: Matroid,
         raise ResourceLimitError("embedding search needs |E(target)| <= 20")
     if nt > host.size:
         return None
-    h_table = _built_table(host)
-    hr = host.r if h_table is None else h_table.tobytes().__getitem__
+    hr = rank_reader(host)
     tr = rank_table(target).tobytes().__getitem__
     order = _constraint_order(target)
     if candidates is None:

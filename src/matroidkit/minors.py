@@ -3,7 +3,10 @@ extension classification, and spike splitting witnesses.
 
 The minor search is complete within an explicit size cap, and graphic
 recognition within the rank table's; each raises a resource error beyond
-it, and neither returns a silently wrong negative.
+it, and neither returns a silently wrong negative. A negative is decided
+by class before any search when the host is a graph, or a GF(2) or GF(3)
+representation: every minor of the host is then graphic, or
+GF(q)-representable, and a target that is not has no certificate to find.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from ._bits import bits, elements_of, mask_of, spread
 from .core import (
     Matroid,
     MinorCertificate,
-    _built_table,
     _point_classes,
+    check_table_size,
     minor_with_map,
+    rank_reader,
     rank_table,
     restriction,
     same_rank_function,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .isomorphism import find_embedding
-from .representations import GraphRep
+from .representations import GraphRep, LinearRep, standard_rep
 from .constructions import clique, is_spike, uniform
 
 MINOR_SIZE_CAP = 24
@@ -47,6 +51,15 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
     The restriction is then found by embedding the target's simplification
     into that of m / C with parallel-class capacities and loops respected.
 
+    A negative is decided by class first, reading only the target: a
+    graph host has only graphic minors, and a GF(q) host (q = 2, 3; a
+    GF(q) matrix, or a decorated graph through its matrix) only
+    GF(q)-representable ones, so the answer is None when the target's
+    simplification is not graphic, or has no [I | A] over GF(q) (see
+    standard_rep). The class test is skipped when it cannot say no: for a
+    graph target, for a target represented over m's field, for any other
+    host, and for a simplification over TABLE_CAP elements.
+
     m's ranks are read from its rank table when it is cached or m's
     provenance builds it, else from m's oracle. With validate, every
     certificate is checked against m's own oracle before it is returned;
@@ -57,8 +70,7 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
     if m.size > MINOR_SIZE_CAP:
         raise ResourceLimitError(f"minor search over {m.size} elements "
                                  f"exceeds cap {MINOR_SIZE_CAP}")
-    table = _built_table(m)
-    r = m.r if table is None else table.tobytes().__getitem__
+    r = rank_reader(m)
     dr = r(m.full_mask) - target.full_rank()
     if dr < 0 or target.size > m.size - dr:
         return None
@@ -67,6 +79,8 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
     t_reps = {c[0] for c in t_classes}
     t_si, _ = minor_with_map(
         target, (), [e for e in range(target.size) if e not in t_reps])
+    if _outside_host_class(m, target, t_si):
+        return None
 
     reps = [c[0] for c in _point_classes(r, 0, range(m.size))[0]]
     for combo in itertools.combinations(reps, dr):
@@ -79,6 +93,31 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
                 raise RuntimeError("minor search built an invalid certificate")
             return cert
     return None
+
+
+def _outside_host_class(m: Matroid, target: Matroid, t_si: Matroid) -> bool:
+    """True when t_si, the target's simplification, lies outside a
+    minor-closed class that m is in; False when the class cannot tell."""
+    host, rep = m.provenance, target.provenance
+    if isinstance(rep, GraphRep):  # graphic matroids are regular
+        return False
+    try:
+        if isinstance(host, GraphRep):
+            return is_graphic(t_si) is None
+        q = _field(host)
+        if q not in (2, 3) or _field(rep) == q:
+            return False
+        return standard_rep(rank_table(t_si), q) is None
+    except ResourceLimitError:
+        return False
+
+
+def _field(rep) -> Optional[int]:
+    """The prime of a GF(p) representation, directly or through
+    to_linear, else None."""
+    if not isinstance(rep, LinearRep) and hasattr(rep, "to_linear"):
+        rep = rep.to_linear()
+    return rep.prime if isinstance(rep, LinearRep) else None
 
 
 def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):
@@ -130,21 +169,25 @@ def is_graphic(m: Matroid) -> Optional[GraphRep]:
     """A graph realizing m (edge i is element i), or None.
 
     The graph is read off m's rank table, so a matroid over TABLE_CAP
-    elements raises ResourceLimitError before any work. m splits at 1- and
-    2-separations found on the table's lambda values, the vertices of each
-    3-connected part are its non-separating cocircuits, and the parts'
-    graphs are glued back at a vertex or along the 2-sum's marker edge.
+    elements raises ResourceLimitError before any work. m's points are
+    counted first (through rank_reader), and more points than a clique of
+    m's rank has edges answer None before the table is built. m splits at
+    1- and 2-separations found on the table's lambda values, the vertices
+    of each 3-connected part are its non-separating cocircuits, and the
+    parts' graphs are glued back at a vertex or along the 2-sum's marker
+    edge.
     The result is connected on r(M) + 1 vertices, and it is checked by
     exhaustive rank agreement before returning, which also turns away
     every non-binary m.
     """
-    table = rank_table(m)
-    r = int(table[-1])
-    classes, _ = _point_classes(table.tobytes().__getitem__, 0, range(m.size))
+    check_table_size(m.size)
+    rank = rank_reader(m)
+    r = rank(m.full_mask)
+    classes, _ = _point_classes(rank, 0, range(m.size))
     # simple rank-r graphic matroids top out at a clique
     if len(classes) > r * (r + 1) // 2:
         return None
-    edges = _realize(table)
+    edges = _realize(rank_table(m))
     if edges is None:
         return None
     rep = GraphRep(r + 1, tuple(edges))

@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import bits, find, union
-from .core import TABLE_BUDGET, Matroid, check_size
+from ._bits import bits, find, mask_of, union
+from .core import TABLE_BUDGET, Matroid, check_size, rank_table
 from .errors import DomainError, GroundSetError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -216,6 +216,104 @@ def from_matrix(rows: Sequence[Sequence[int]], prime: int,
         for j in range(width)
     )
     return LinearRep(prime, len(rows), columns).matroid(name=name)
+
+
+def standard_rep(table: np.ndarray, prime: int) -> Optional[LinearRep]:
+    """A matrix [I | A] over GF(prime), prime 2 or 3, whose rank table is
+    table, or None when the matroid has no GF(prime) representation.
+
+    B is the greedy basis off the table, and row i belongs to its i-th
+    element. Column e outside B is supported on e's fundamental circuit:
+    b is in it exactly when B - b + e is a basis. Binary and ternary
+    matroids are uniquely representable (Oxley, Matroid Theory, 2nd ed.,
+    6.6), so over GF(2) the supports fix the matrix, and over GF(3) they
+    do once the entries on a spanning forest of the supports' row-column
+    graph are 1 (the Brylawski-Lucas normalization, Oxley 6.4). Each other
+    entry, column by column, closes a cycle through the entries placed
+    before it; on a chordless one the cycle's square submatrix has two
+    nonzero diagonals, so exactly one of the values 1 and 2 makes it
+    nonsingular, and the table says whether it is: B minus the cycle's
+    rows plus its columns is a basis. A matrix is returned only when its
+    whole rank table equals table.
+    """
+    if prime not in (2, 3):
+        raise DomainError("standard_rep needs prime 2 or 3")
+    t = table.tobytes()
+    n, r = table.size.bit_length() - 1, t[-1]
+    basis, bmask = [], 0
+    for e in range(n):
+        if t[bmask | 1 << e] > len(basis):
+            basis.append(e)
+            bmask |= 1 << e
+    entry = {(i, e): 1 for e in range(n) if not bmask >> e & 1
+             for i, b in enumerate(basis) if t[bmask ^ 1 << b | 1 << e] == r}
+    if prime == 3:
+        _fix_ternary(t, basis, bmask, entry)
+    columns = [tuple(entry.get((i, e), int(b == e))
+                     for i, b in enumerate(basis)) for e in range(n)]
+    rep = LinearRep(prime, r, tuple(columns))
+    return rep if np.array_equal(rank_table(rep.matroid()), table) else None
+
+
+def _fix_ternary(t: bytes, basis: list[int], bmask: int,
+                 entry: dict[tuple[int, int], int]) -> None:
+    """Set the GF(3) entries of standard_rep off a spanning forest.
+
+    Vertex i is row i and ~e is column e. An entry joining two components
+    keeps its 1 and joins the forest. Any other entry (i, e) is pending:
+    the shortest path from i to ~e through the placed entries has no
+    placed chord, and a pending entry (k, e) with k on it is a chord whose
+    own path is shorter, so it goes first.
+    """
+    r = len(basis)
+    parent = {v: v for i, e in entry for v in (i, ~e)}
+    adj: dict[int, list[int]] = {v: [] for v in parent}
+
+    def place(i: int, e: int) -> None:
+        adj[i].append(~e)
+        adj[~e].append(i)
+
+    for e in sorted({e for _, e in entry}):
+        pending = []
+        for i in range(r):
+            if (i, e) in entry:
+                if union(parent, i, ~e):
+                    place(i, e)
+                else:
+                    pending.append(i)
+        while pending:
+            i = pending[0]
+            path = _shortest_path(adj, i, ~e)
+            while chord := next((k for k in pending
+                                 if k != i and k in path), None):
+                i, path = chord, _shortest_path(adj, chord, ~e)
+            rows = [v for v in path if v >= 0]
+            cols = [~v for v in path if v < 0]
+            basic = t[bmask ^ mask_of(basis[k] for k in rows)
+                      | mask_of(cols)] == r
+            sub = LinearRep(3, len(rows), tuple(
+                tuple(entry.get((k, c), 0) for k in rows) for c in cols))
+            if (sub.matroid().full_rank() == len(rows)) != basic:
+                entry[i, e] = 2
+            pending.remove(i)
+            place(i, e)
+
+
+def _shortest_path(adj: dict[int, list[int]], start: int, goal: int
+                   ) -> list[int]:
+    """Vertices of a shortest start-goal path, by breadth-first search;
+    goal must be reachable."""
+    prev = {start: start}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return path
 
 
 # ---------------------------------------------------------------------------

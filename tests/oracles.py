@@ -26,25 +26,60 @@ def eps_oracle(m) -> int:
 
 
 def gf_rank(cols, p: int) -> int:
-    """Column rank over GF(p) by plain Gaussian elimination."""
-    if not cols:
-        return 0
-    a = np.array(cols, dtype=np.int64).T % p
-    nrows, ncols = a.shape
-    rank, row = 0, 0
-    for c in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r, c] % p), None)
+    """Rank of a list of GF(p) vectors by plain Gaussian elimination on
+    them as rows (row rank equals column rank)."""
+    rows = [[x % p for x in c] for c in cols]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if piv is None:
             continue
-        a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, c]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        for r in range(nrows):
-            if r != row and a[r, c]:
-                a[r] = (a[r] - a[r, c] * a[row]) % p
-        row += 1
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j] * inv
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def linear_rep_brute(m, p: int):
+    """Columns of a matrix [I | A] over GF(p) with m's rank function, or
+    None, trying every A for the greedy basis B of m: B's columns are the
+    unit vectors, every other column runs over all p^r vectors whose first
+    nonzero entry is 1, and a choice of the first columns is dropped as
+    soon as some subset of them ranks otherwise than in m. Every GF(p)
+    representation of m is such an [I | A] after row operations and column
+    scaling, so None means m is not GF(p)-representable.
+    """
+    n, r = m.size, m.full_rank()
+    basis = []
+    for e in range(n):
+        if m.r(sum(1 << b for b in basis) | 1 << e) > len(basis):
+            basis.append(e)
+    unit = {b: tuple(int(i == j) for j in range(r))
+            for i, b in enumerate(basis)}
+    vectors = [v for v in itertools.product(range(p), repeat=r)
+               if next((x for x in v if x), 1) == 1]
+    cols = []
+
+    def fits(e):
+        return all(gf_rank([cols[i] for i in range(e) if s >> i & 1]
+                           + [cols[e]], p) == m.r(s | 1 << e)
+                   for s in range(1 << e))
+
+    def place(e):
+        if e == n:
+            return True
+        for v in [unit[e]] if e in unit else vectors:
+            cols.append(v)
+            if fits(e) and place(e + 1):
+                return True
+            cols.pop()
+        return False
+
+    return tuple(cols) if place(0) else None
 
 
 def graph_rank(n_vertices: int, edges, mask: int) -> int:

@@ -17,6 +17,7 @@ from matroidkit import (
     clique,
     direct_sum,
     dual,
+    even_cycle,
     fano,
     find_clique_minor,
     free_ext_clique,
@@ -29,6 +30,7 @@ from matroidkit import (
     minor_with_map,
     principal_extension,
     restriction,
+    signed_graphic,
     spike,
     spike_split_witness,
     triangle_ext,
@@ -38,12 +40,13 @@ from matroidkit import (
     whirl,
 )
 
+from matroidkit import minors
 from matroidkit.core import same_rank_function
 from matroidkit.minors import _clique_realization
-from matroidkit.representations import GraphRep
+from matroidkit.representations import GraphRep, LinearRep
 from oracles import (certificate_walk, graph_rank, graphic_tree_search,
                      is_clique, minor_brute)
-from strategies import graph_reps, linear_reps
+from strategies import graph_reps, linear_reps, planted_reps
 
 
 # every host here is small enough for the unpruned oracle
@@ -84,8 +87,12 @@ def test_minor_size_cap():
 # ---------------------------------------------------------------------------
 # the search reads the host's rank table
 
+TERNARY = [[1, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 0, 1], [0, 0, 1, 0, 0, 1, 2]]
+BINARY = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
 
-SMALL_TARGETS = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4)]
+# the last five are outside the graphic or the binary or the ternary class
+SMALL_TARGETS = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4),
+                 fano(), dual(fano()), whirl(3), uniform(2, 5), uniform(3, 5)]
 
 
 def small_targets():
@@ -102,10 +109,27 @@ def small_hosts():
                      graph_reps(max_edges=7))
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_hosts(), small_targets())
-def test_has_minor_on_the_host_table_matches_brute_and_its_twin(rep, target):
-    host = rep.matroid()
+@st.composite
+def spanning_hosts(draw):
+    """GF(2), GF(3) and graph representations of rank 2 or 3 on 4 to 7
+    elements: unit vectors or a spanning path, plus random columns or
+    edges, shuffled."""
+    r = draw(st.integers(2, 3))
+    extra = draw(st.integers(max(2, 4 - r), 7 - r))
+    p = draw(st.sampled_from((2, 3, None)))
+    if p is None:
+        edge = st.tuples(st.integers(0, r), st.integers(0, r))
+        edges = [(v, v + 1) for v in range(r)]
+        edges += draw(st.lists(edge, min_size=extra, max_size=extra))
+        return GraphRep(r + 1, tuple(draw(st.permutations(edges))))
+    cols = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    cols += draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * r),
+                          min_size=extra, max_size=extra))
+    return LinearRep(p, r, tuple(draw(st.permutations(cols))))
+
+
+def _agrees_with_brute_and_its_twin(host, target):
+    # the twin has no provenance, so no class test: it always searches
     twin = Matroid(host.size, host._rank_mask)
     cert = has_minor(host, target)
     assert (cert is not None) == minor_brute(host, target)
@@ -114,8 +138,87 @@ def test_has_minor_on_the_host_table_matches_brute_and_its_twin(rep, target):
         assert certificate_walk(cert, host, target)
 
 
-TERNARY = [[1, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 0, 1], [0, 0, 1, 0, 0, 1, 2]]
-BINARY = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_hosts(), spanning_hosts()), small_targets())
+def test_has_minor_on_the_host_table_matches_brute_and_its_twin(rep, target):
+    _agrees_with_brute_and_its_twin(rep.matroid(), target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spanning_hosts(), st.data())
+def test_has_minor_on_targets_over_the_other_prime(rep, data):
+    # a graph host is binary, and the class test of a graph host is
+    # graphicness, so a graph host takes targets over either prime
+    primes = (5 - rep.prime,) if isinstance(rep, LinearRep) else (2, 3)
+    target = data.draw(st.one_of(
+        planted_reps(primes, max_rows=3, max_cols=7),
+        linear_reps(max_rows=3, max_cols=5, primes=primes)).map(
+            lambda r: r.matroid()))
+    _agrees_with_brute_and_its_twin(rep.matroid(), target)
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+CLASS_NEGATIVES = [
+    ("binary-u24", lambda: from_matrix(BINARY, 2), uniform(2, 4)),
+    ("ternary-f7", lambda: from_matrix(TERNARY, 3), fano()),
+    ("ternary-f7*", lambda: from_matrix(TERNARY + [[1] * 7], 3), dual(fano())),
+    ("graph-f7", lambda: from_graph(4, K4_EDGES + [(0, 1)]), fano()),
+    ("graph-u24", lambda: clique(4), uniform(2, 4)),
+    ("even-cycle-u24", lambda: even_cycle(4, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                              (0, 2)], [0, 2]), uniform(2, 4)),
+    ("signed-f7", lambda: signed_graphic(3, [(0, 1), (1, 2), (0, 2), (0, 0),
+                                             (1, 1), (2, 2), (0, 1)], [3, 6]),
+     fano()),
+]
+
+
+@pytest.mark.parametrize("host,target", [c[1:] for c in CLASS_NEGATIVES],
+                         ids=[c[0] for c in CLASS_NEGATIVES])
+def test_a_class_negative_reads_no_host_oracle_and_searches_nothing(
+        host, target, monkeypatch):
+    host = host()
+    oracle, calls = host._rank_mask, []
+    host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+
+    def no_search(*args):
+        raise AssertionError("a class negative searched")
+
+    monkeypatch.setattr(minors, "_embed_restriction", no_search)
+    assert has_minor(host, target) is None
+    assert calls == []
+    assert not minor_brute(Matroid(host.size, oracle), target)
+
+
+CLASS_SKIPS = [
+    ("gf5-host", from_matrix([[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]], 5),
+     uniform(2, 4), True),
+    ("recipe-host", uniform(3, 6), fano(), False),
+    ("bare-host", Matroid(7, fano()._rank_mask), uniform(2, 4), False),
+    ("graph-target", from_matrix(BINARY, 2), clique(3), True),
+    ("same-field-target", from_matrix(BINARY, 2), fano(), True),
+    ("same-field-decorated-target", from_matrix(TERNARY, 3),
+     signed_graphic(2, [(0, 1), (0, 1)], [1]), True),
+    ("graph-host-graph-target", clique(5), clique(4), True),
+]
+
+
+@pytest.mark.parametrize("host,target,found", [c[1:] for c in CLASS_SKIPS],
+                         ids=[c[0] for c in CLASS_SKIPS])
+def test_the_class_test_is_skipped_where_it_cannot_say_no(host, target, found,
+                                                          monkeypatch):
+    def no_class_test(*args):
+        raise AssertionError("the class test ran")
+
+    monkeypatch.setattr(minors, "standard_rep", no_class_test)
+    monkeypatch.setattr(minors, "is_graphic", no_class_test)
+    assert (has_minor(host, target) is not None) == found
+
+
+def test_a_clique_has_no_dual_fano_minor_within_a_second():
+    # a search over the 210 contraction pairs of K7 took 23 s
+    start = time.perf_counter()
+    assert has_minor(clique(7), dual(fano())) is None
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("rows,p,found", [(TERNARY, 3, True),
@@ -192,6 +295,14 @@ def test_is_graphic_rejects(m):
 def test_is_graphic_size_cap():
     with pytest.raises(ResourceLimitError):
         is_graphic(clique(8))  # 28 elements, over the rank table's cap
+
+
+def test_is_graphic_counts_points_before_the_table():
+    # a rank-3 graph has at most 6 points; a table walk would take 2^18 calls
+    inner, calls = uniform(3, 18), []
+    bare = Matroid(18, lambda mask: calls.append(mask) or inner.r(mask))
+    assert is_graphic(bare) is None
+    assert len(calls) < 200
 
 
 def test_is_graphic_reads_a_21_element_clique():

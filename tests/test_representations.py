@@ -1,9 +1,11 @@
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from matroidkit import is_isomorphic, simplify
+from matroidkit import (clique, dual, fano, is_isomorphic, rank_table,
+                        simplify, uniform, whirl)
 from matroidkit.constructions import (
     n_square,
     n_square_even_cycle_rep,
@@ -22,9 +24,11 @@ from matroidkit.representations import (
     from_matrix,
     has_blocking_pair,
     signed_graphic,
+    standard_rep,
 )
-from oracles import blocking_pair_walk, gf_rank, graph_minor_walk, graph_rank
-from strategies import graph_reps
+from oracles import (blocking_pair_walk, gf_rank, graph_minor_walk, graph_rank,
+                     linear_rep_brute)
+from strategies import graph_reps, linear_reps, planted_reps
 from test_minor_reps import decorated_reps, with_split
 
 
@@ -241,3 +245,52 @@ def test_decorated_graph_kinds_stay_apart():
                                   frozenset({0, 2}))
         back = deserialize(serialize(rep.matroid())).provenance
         assert type(back) is type(rep) and back == rep
+
+
+# ---------------------------------------------------------------------------
+# [I | A] off a rank table
+
+
+NAMED_REPS = [
+    ("U24-binary", uniform(2, 4), 2, False),
+    ("F7-ternary", fano(), 3, False),
+    ("F7*-ternary", dual(fano()), 3, False),
+    ("U25-ternary", uniform(2, 5), 3, False),
+    ("U35-ternary", uniform(3, 5), 3, False),
+    ("whirl3-ternary", whirl(3), 3, True),
+    ("U24-ternary", uniform(2, 4), 3, True),
+    ("K4-ternary", clique(4), 3, True),
+    ("F7-binary", fano(), 2, True),
+]
+
+
+@pytest.mark.parametrize("m, prime, representable",
+                         [c[1:] for c in NAMED_REPS],
+                         ids=[c[0] for c in NAMED_REPS])
+def test_standard_rep_on_named_matroids(m, prime, representable):
+    rep = standard_rep(rank_table(m), prime)
+    assert (rep is not None) == representable
+    if rep is not None:
+        assert rep.prime == prime
+        assert np.array_equal(rank_table(rep.matroid()), rank_table(m))
+
+
+def test_standard_rep_needs_prime_2_or_3():
+    with pytest.raises(DomainError):
+        standard_rep(rank_table(uniform(2, 4)), 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(linear_reps(max_rows=4, max_cols=8, primes=(2, 3)),
+                 planted_reps()))
+def test_standard_rep_matches_brute_force_over_both_fields(rep):
+    m = rep.matroid()
+    table = rank_table(m)
+    own = standard_rep(table, rep.prime)
+    assert own is not None and own.prime == rep.prime
+    assert np.array_equal(rank_table(own.matroid()), table)
+    other = 5 - rep.prime
+    found = standard_rep(table, other)
+    assert (found is None) == (linear_rep_brute(m, other) is None)
+    if found is not None:
+        assert np.array_equal(rank_table(found.matroid()), table)

@@ -572,6 +572,7 @@ def test_cli_minor_test_writes_certificate(tmp_path, capsys):
     rc = main(["minor-test", "--host", str(host), "--target", str(target),
                "--out", str(cert)])
     assert rc == 1  # fano needs GF(2); the triangle family lives over GF(3)
+    assert capsys.readouterr().out == "no minor\n"
     doc = json.loads(cert.read_text())
     assert doc["found"] is False and doc["certificate"] is None
 
@@ -588,7 +589,7 @@ def test_cli_graphic_test_exit_codes(tmp_path, capsys):
     path = tmp_path / "m.json"
     dump(fano(), str(path))
     assert main(["graphic-test", "--matroid", str(path)]) == 1
-    assert "nongraphic" in capsys.readouterr().out
+    assert capsys.readouterr().out == "nongraphic\n"
     dump(clique(4), str(path))
     assert main(["graphic-test", "--matroid", str(path)]) == 0
     assert "graphic: 4 vertices" in capsys.readouterr().out
