@@ -40,6 +40,9 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+CHOOSE_SPLIT = 16  # spread_choose holds 2^CHOOSE_SPLIT masks at most
+
+
 def spread(base: int, weights: Iterable[int]) -> np.ndarray:
     """The 2^k masks built from base and k weights: mask s is base ORed
     with weights[i] for each set bit i of s, filled in place by doubling.
@@ -52,6 +55,26 @@ def spread(base: int, weights: Iterable[int]) -> np.ndarray:
     for i, w in enumerate(weights):
         np.bitwise_or(out[:1 << i], w, out=out[1 << i:2 << i])
     return out
+
+
+def spread_choose(base: int, weights: Iterable[int], size: int) -> np.ndarray:
+    """The masks of spread(base, weights) whose s has exactly size set
+    bits, in the same order. Only the masks of the first CHOOSE_SPLIT
+    weights are built in full; each subset of the other weights adds the
+    ones among them that make up the count."""
+    weights = tuple(weights)
+    wide = max((base, *weights)) >> 31
+    dtype = np.uint64 if wide else np.int32
+    low = spread(base, weights[:CHOOSE_SPLIT]).astype(dtype, copy=False)
+    count = popcount_table(min(len(weights), CHOOSE_SPLIT))
+    by_count: dict[int, np.ndarray] = {}
+    parts = [low[:0]]
+    for s, high in enumerate(spread(0, weights[CHOOSE_SPLIT:]).tolist()):
+        need = size - s.bit_count()
+        if need not in by_count:
+            by_count[need] = low[count == need]
+        parts.append(by_count[need] | high)
+    return np.concatenate(parts)
 
 
 def find(parent, x: int) -> int:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ._bits import (bits, elements_of, mask_of, popcount, popcount_table,
-                    spread)
+                    spread, spread_choose)
 from .errors import (
     DomainError,
     GroundSetError,
@@ -430,8 +430,9 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     if host.r(cmask | image) - rc != rt:
         return False
     # C + image(X) for every target subset X of size r(target)
-    sized = popcount_table(target.size) == rt
-    masks = spread(cmask, [1 << pairs[t] for t in range(target.size)])[sized]
+    sized = spread_choose(0, [1 << t for t in range(target.size)], rt)
+    masks = spread_choose(cmask, [1 << pairs[t] for t in range(target.size)],
+                          rt)
     ranks = np.fromiter(map(host.r, masks.tolist()), np.int16, len(masks))
     return np.array_equal(ranks == rc + rt, table[sized] == rt)
 

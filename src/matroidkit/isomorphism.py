@@ -2,7 +2,8 @@
 
 Backtracking over element assignments, pruned by iterated invariant
 refinement (loop status, parallel class size, 3-point-line incidences) and
-by rank agreement on every subset of the assigned prefix.
+by rank agreement on the independent subsets of the assigned prefix, with
+each one's new element added.
 """
 
 from __future__ import annotations
@@ -68,27 +69,22 @@ def _normalize(values: list) -> list[int]:
     return [order[v] for v in values]
 
 
-def _constraint_order(target: Matroid) -> list[int]:
-    """Order elements so dependencies close early (better pruning)."""
-    n = target.size
-    small = []
-    for k in (2, 3):
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if target.r(mask) < k:
-                small.append(set(combo))
+def _constraint_order(tr, n: int) -> list[int]:
+    """Order target elements so dependencies close early (better pruning):
+    each next element closes the most circuits of size 2 or 3 with those
+    already placed, ties to the least. tr reads the target's rank table."""
+    singles = [1 << e for e in range(n)]
+    small = [s for k in (2, 3)
+             for s in map(sum, itertools.combinations(singles, k))
+             if tr(s) < k]
     order: list[int] = []
-    placed: set[int] = set()
+    placed = 0
     remaining = set(range(n))
     while remaining:
-        best = min(
-            remaining,
-            key=lambda e: (-sum(1 for s in small if e in s and s - {e} <= placed), e),
-        )
+        best = min(remaining, key=lambda e: (-sum(
+            1 for s in small if s >> e & 1 and not s & ~(placed | 1 << e)), e))
         order.append(best)
-        placed.add(best)
+        placed |= 1 << best
         remaining.remove(best)
     return order
 
@@ -99,9 +95,17 @@ def find_embedding(host: Matroid, target: Matroid,
     """Injective map of E(target) into E(host) preserving ranks of all
     subsets of the image. Returns {target element: host element} or None.
 
-    candidates[t] restricts images of element t. Host ranks are read from
-    the host's rank table when it is cached or its provenance builds it,
-    else from the host's oracle; either way the search is the same.
+    candidates[t] restricts images of element t. Elements are placed in
+    _constraint_order; t -> h is accepted exactly when r(X + t) in the
+    target equals r(phi(X) + h) in the host for every independent subset
+    X of the placed prefix. That suffices because a matroid is determined
+    by its independent sets: X + t is then independent on one side exactly
+    when it is on the other, and a dependent X stays dependent with t
+    added on both sides. The target's side depends only on the depth, so
+    its reads are made once per depth, from its rank table. Host ranks
+    are read from the host's rank table when it is cached or its
+    provenance builds it, else from the host's oracle; either way the
+    search is the same.
     """
     nt = target.size
     if nt > 20:
@@ -110,13 +114,15 @@ def find_embedding(host: Matroid, target: Matroid,
         return None
     hr = rank_reader(host)
     tr = rank_table(target).tobytes().__getitem__
-    order = _constraint_order(target)
+    order = _constraint_order(tr, nt)
     if candidates is None:
         candidates = [list(range(host.size))] * nt
 
-    # subset masks of the assigned prefix, in target and host coordinates
+    # the independent subsets of the placed prefix: in target coordinates
+    # the same at every node of a depth, in host coordinates per node
     t_masks = [0]
     h_masks = [0]
+    levels: list[tuple[list[int], list[int]]] = []
     assignment: dict[int, int] = {}
     used = 0
 
@@ -125,30 +131,30 @@ def find_embedding(host: Matroid, target: Matroid,
         if depth == nt:
             return True
         t = order[depth]
-        tbit = 1 << t
-        half = len(t_masks)
+        if depth == len(levels):  # first visit: r(X + t), and which X grow
+            ranks = [tr(x | 1 << t) for x in t_masks]
+            grow = [i for i, x in enumerate(t_masks)
+                    if ranks[i] > x.bit_count()]
+            t_masks.extend([t_masks[i] | 1 << t for i in grow])
+            levels.append((ranks, grow))
+        ranks, grow = levels[depth]
+        half = len(ranks)
         for h in candidates[t]:
             hbit = 1 << h
             if used & hbit:
                 continue
-            ok = True
-            for i in range(half):
-                if tr(t_masks[i] | tbit) != hr(h_masks[i] | hbit):
-                    ok = False
+            for rt, hx in zip(ranks, h_masks):
+                if rt != hr(hx | hbit):
                     break
-            if not ok:
-                continue
-            for i in range(half):
-                t_masks.append(t_masks[i] | tbit)
-                h_masks.append(h_masks[i] | hbit)
-            used |= hbit
-            assignment[t] = h
-            if extend(depth + 1):
-                return True
-            used ^= hbit
-            del assignment[t]
-            del t_masks[half:]
-            del h_masks[half:]
+            else:
+                h_masks.extend([h_masks[i] | hbit for i in grow])
+                used |= hbit
+                assignment[t] = h
+                if extend(depth + 1):
+                    return True
+                used ^= hbit
+                del assignment[t]
+                del h_masks[half:]
         return False
 
     if extend(0):

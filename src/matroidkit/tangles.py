@@ -72,23 +72,24 @@ def _maximal_members(in_t: np.ndarray, n: int) -> tuple[int, ...]:
 
 
 def _family_axioms(m: Matroid, in_fam: np.ndarray, theta: int,
-                   lam: np.ndarray) -> TangleCheck:
+                   lam: np.ndarray) -> tuple[TangleCheck, tuple[int, ...]]:
     """Check the three tangle axioms for a family given as a 2^n flag array,
-    where lam is m's lambda table."""
+    where lam is m's lambda table. Returns the verdict and, when it passes,
+    the family's maximal members (else ())."""
     n = m.size
     full = m.full_mask
     sep = lam < theta - 1
 
     bad = in_fam & ~sep
     if bad.any():
-        return TangleCheck(False, 1, (int(np.argmax(bad)),))
+        return TangleCheck(False, 1, (int(np.argmax(bad)),)), ()
     bad = sep & ~(in_fam | in_fam[::-1])
     if bad.any():
-        return TangleCheck(False, 1, (int(np.argmax(bad)),))
+        return TangleCheck(False, 1, (int(np.argmax(bad)),)), ()
 
     for e in range(n):
         if in_fam[full ^ (1 << e)]:
-            return TangleCheck(False, 3, (full ^ (1 << e),))
+            return TangleCheck(False, 3, (full ^ (1 << e),)), ()
 
     maximal = _maximal_members(in_fam, n)
     sizes = [popcount(mx) for mx in maximal]
@@ -104,8 +105,9 @@ def _family_axioms(m: Matroid, in_fam: np.ndarray, theta: int,
                 continue
             for k in order:
                 if ab | maximal[k] == full:
-                    return TangleCheck(False, 2, (a, maximal[j], maximal[k]))
-    return TangleCheck(True)
+                    return (TangleCheck(False, 2, (a, maximal[j], maximal[k])),
+                            ())
+    return TangleCheck(True), maximal
 
 
 def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
@@ -126,7 +128,7 @@ def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
             if x < 0 or x > m.full_mask:
                 raise DomainError(f"member mask {x} outside the ground set")
             in_fam[x] = True
-    return _family_axioms(m, in_fam, theta, lam)
+    return _family_axioms(m, in_fam, theta, lam)[0]
 
 
 def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
@@ -144,10 +146,10 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
     dependent_rest = pc[::-1] > ranks[::-1]
     in_t = (lam < k - 1) & (ranks < rm) & dependent_rest
-    verdict = _family_axioms(m, in_t, k, lam)
+    verdict, maximal = _family_axioms(m, in_t, k, lam)
     if not verdict.ok:
         return verdict
-    return Tangle(m, k, _maximal_members(in_t, m.size))
+    return Tangle(m, k, maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +201,12 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
         weight[h_elem] = 1 << t_elem
     # the target mask of every host subset's trace X meet E(N)
     in_t = (lam < theta - 1) & small_n[spread(0, weight)]
-    verdict = _family_axioms(m, in_t, theta, lam)
+    verdict, maximal = _family_axioms(m, in_t, theta, lam)
     if not verdict.ok:
         raise PreconditionError(
             f"induced family violates tangle axiom {verdict.axiom}; "
             "the given family was not a tangle")
-    return Tangle(m, theta, _maximal_members(in_t, m.size))
+    return Tangle(m, theta, maximal)
 
 
 def _small_flags(t: Tangle, lam: np.ndarray) -> np.ndarray:

@@ -221,6 +221,45 @@ def iso_brute(a, b):
     return None
 
 
+def embedding_all_subsets(host, target, candidates=None):
+    """The embedding search that compares ranks on every subset of the
+    placed prefix, through host.r and target.r. It places the elements in
+    the order of isomorphism._constraint_order and tries candidates in the
+    same order, so it returns the same first embedding, or None."""
+    n = target.size
+    small = [set(c) for k in (2, 3)
+             for c in itertools.combinations(range(n), k)
+             if target.r(sum(1 << e for e in c)) < k]
+    order, placed = [], set()
+    while len(order) < n:
+        best = min((e for e in range(n) if e not in placed), key=lambda e: (
+            -sum(1 for s in small if e in s and s - {e} <= placed), e))
+        order.append(best)
+        placed.add(best)
+    if candidates is None:
+        candidates = [list(range(host.size))] * n
+    phi = {}
+
+    def extend(depth):
+        if depth == n:
+            return True
+        t = order[depth]
+        for h in candidates[t]:
+            if h in phi.values():
+                continue
+            phi[t] = h
+            if all(target.r(sum(1 << e for e in x + (t,)))
+                   == host.r(sum(1 << phi[e] for e in x + (t,)))
+                   for k in range(depth + 1)
+                   for x in itertools.combinations(order[:depth], k)) \
+                    and extend(depth + 1):
+                return True
+            del phi[t]
+        return False
+
+    return dict(phi) if extend(0) else None
+
+
 def _image(mask: int, perm, n: int) -> int:
     img = 0
     for i in range(n):

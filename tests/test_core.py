@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -35,7 +37,8 @@ from matroidkit.errors import (
 from conftest import random_graph, random_linear
 from oracles import eps_oracle, rank_axioms_hold
 
-from matroidkit.constructions import n_square, spike, triangle_ext
+from matroidkit.constructions import (free_ext_clique, n_square, spike,
+                                       triangle_ext)
 
 
 def popcount_rank(cap):
@@ -218,6 +221,23 @@ def test_certificate_reads_only_the_rank_and_the_bases():
     host = Matroid(15, rank_mask)
     assert validate_certificate(_identity(host), host, clique(6))
     assert len(calls) == len(set(calls)) <= 3003 + 2  # C(15, 5) + 2
+
+
+def test_certificate_workspace_grows_with_the_bases_not_the_subsets():
+    # free_ext_clique(7): 22 elements of rank 6, C(22, 6) = 74,613 bases;
+    # a mask per subset would take 2^22 entries (16 MiB as int32)
+    host, target = free_ext_clique(7), free_ext_clique(7)
+    rank_table(target)
+    cert = _identity(host)
+    # the first call fills host.r's memo (7.5 MiB), which the second reads
+    assert validate_certificate(cert, host, target)
+    tracemalloc.start()
+    try:
+        assert validate_certificate(cert, host, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 64])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from matroidkit import (Matroid, clique, direct_sum, fano, find_embedding,
                         from_matrix, is_isomorphic, uniform)
 from matroidkit.constructions import triangle_ext, whirl
-from oracles import iso_brute
-from strategies import graph_reps, linear_reps
+from oracles import embedding_all_subsets, iso_brute
+from strategies import graph_reps, linear_reps, planted_reps
 
 
 PAIRS = [
@@ -77,8 +77,11 @@ def _relabeled_restriction(host, elems):
 def embedding_cases(draw):
     """A GF(2), GF(3) or graph host of at most 10 elements, a target that
     is usually a relabeled restriction of it (otherwise an unrelated small
-    matroid), and candidate lists or None."""
+    matroid), and candidate lists or None. planted_reps supplies the
+    non-binary GF(3) hosts and the F7 and F7* ones that linear_reps
+    rarely draws."""
     rep = draw(st.one_of(linear_reps(max_cols=10, primes=(2, 3)),
+                         planted_reps(max_cols=10),
                          graph_reps(max_vertices=6, max_edges=10)))
     host = rep.matroid()
     n = host.size
@@ -112,6 +115,32 @@ def test_embedding_on_the_host_table_matches_its_bare_oracle_twin(case):
             image = sum(1 << phi[t] for t in range(target.size)
                         if (mask >> t) & 1)
             assert host.r(image) == target.r(mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedding_cases())
+def test_embedding_matches_the_all_subsets_search(case):
+    """Checking the independent subsets of the placed prefix accepts the
+    same candidates as checking all of them, so the first embedding found
+    is the same, on the host's table and through its bare oracle."""
+    host, target, candidates = case
+    twin = Matroid(host.size, host._rank_mask)
+    phi = embedding_all_subsets(twin, target, candidates)
+    assert find_embedding(host, target, candidates) == phi
+    assert find_embedding(twin, target, candidates) == phi
+
+
+def test_placing_clique6_reads_few_subsets_of_a_bare_host():
+    """All 2^15 - 1 nonempty subsets of a placed clique(6) would be read
+    by a check of every subset of the prefix."""
+    target, host = clique(6), clique(6)
+    seen = set()
+    twin = Matroid(host.size,
+                   lambda mask: seen.add(mask) or host._rank_mask(mask))
+    phi = find_embedding(twin, target)
+    assert phi is not None and len(seen) <= 6000
+    assert all(host.r(sum(1 << phi[t] for t in range(15) if mask >> t & 1))
+               == target.r(mask) for mask in range(1 << 15))
 
 
 def test_embedding_on_a_linear_host_never_calls_its_oracle():

@@ -6,7 +6,8 @@ their edges touch, the array transforms for recipe tables, table equality in
 same_rank_function, the subset-closure sweep in tangle membership) is
 compared with the subset-by-subset definition it replaces. The mask
 families these sweeps read come from _bits.spread, which is compared with
-the bit-by-bit shift form. kappa, a matroid intersection through the
+the bit-by-bit shift form, and _bits.spread_choose with spread's masks of
+one size. kappa, a matroid intersection through the
 oracle, is compared with the table-gather sweep it replaced (kappa_sweep)
 on inputs too wide for the brute walk, and with itself on the bare oracle
 of the same matroid, including on ground sets too large for a table.
@@ -37,7 +38,8 @@ from matroidkit import (
     uniform,
     whirl,
 )
-from matroidkit._bits import elements_of, popcount_table, spread
+from matroidkit._bits import (CHOOSE_SPLIT, elements_of, popcount_table,
+                              spread, spread_choose)
 from matroidkit.core import Matroid, closure_mask
 from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _lambda_table, _small_flags
@@ -364,6 +366,29 @@ def test_spread_matches_the_shift_form(case):
         for s in range(1 << len(weights))]
     assert out.tolist() == expected
     assert out.dtype == (np.int32 if max(expected) < 1 << 31 else np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_cases(), st.integers(0, 9))
+def test_spread_choose_keeps_the_masks_of_one_size(case, size):
+    base, weights = case
+    out = spread_choose(base, weights, size)
+    whole = spread(base, weights)
+    assert out.dtype == whole.dtype
+    assert out.tolist() == whole[popcount_table(len(weights)) == size].tolist()
+
+
+@pytest.mark.parametrize("width", [31, 64])
+def test_spread_choose_past_its_split(width):
+    rng = random.Random(width)
+    base = rng.getrandbits(width)
+    weights = [rng.getrandbits(width) for _ in range(CHOOSE_SPLIT + 3)]
+    whole = spread(base, weights)
+    count = popcount_table(len(weights))
+    for size in (0, 1, 9, CHOOSE_SPLIT + 2, CHOOSE_SPLIT + 3):
+        out = spread_choose(base, weights, size)
+        assert out.dtype == whole.dtype
+        assert np.array_equal(out, whole[count == size])
 
 
 @settings(max_examples=150, deadline=None)
