@@ -5,23 +5,31 @@ kappa and linking minors take polynomially many rank reads: kappa is one
 matroid intersection, grown by shortest augmenting paths, and a linking
 minor is one intersection per free element. Their tests check kappa
 against the plain submask walk and the table sweep in tests/oracles.py.
+
+Flats, modular flats and vertical connectivity sweep every subset: they
+read the flats off the rank table with core.closed_flags, so they refuse
+a matroid over TABLE_CAP elements before any work. Point queries on one
+flat (is_modular_pair, and the flat check of is_modular_flat) read the
+oracle and work up to GROUND_SET_CAP elements.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
+
+import numpy as np
 
 from ._bits import bits, elements_of, mask_of
-from .core import Matroid, MinorCertificate, closure_mask, minor_with_map
-from .errors import DomainError, ResourceLimitError
+from .core import (Matroid, MinorCertificate, closed_flags, closure_mask,
+                   minor_with_map, rank_table)
+from .errors import DomainError
 
 
 def connectivity(m: Matroid, subset: Iterable[int]) -> int:
     """lambda(X) = r(X) + r(E-X) - r(M)."""
-    x = m.mask(subset)
-    return m.r(x) + m.r(m.full_mask & ~x) - m.full_rank()
+    return connectivity_mask(m, m.mask(subset))
 
 
 def connectivity_mask(m: Matroid, x: int) -> int:
@@ -146,27 +154,10 @@ def linking_minor(m: Matroid, a: Iterable[int], b: Iterable[int]
 # flats and modularity
 
 
-_FLAT_CAP = 1 << 17
-
-
 def flats(m: Matroid) -> list[int]:
-    """All flats as masks, ascending. Grown by single-element closures."""
-    start = closure_mask(m, 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            rest = m.full_mask & ~f
-            for e in bits(rest):
-                g = closure_mask(m, f | (1 << e))
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-            if len(seen) > _FLAT_CAP:
-                raise ResourceLimitError("flat lattice too large to enumerate")
-        frontier = nxt
-    return sorted(seen)
+    """All flats as masks, ascending, read off m's rank table (so over
+    TABLE_CAP elements this raises ResourceLimitError before any work)."""
+    return np.flatnonzero(closed_flags(rank_table(m))).tolist()
 
 
 def _check_flat(m: Matroid, mask: int) -> int:
@@ -182,10 +173,12 @@ def is_modular_pair(m: Matroid, f1: Iterable[int], f2: Iterable[int]) -> bool:
 
 
 def is_modular_flat(m: Matroid, f: Iterable[int]) -> bool:
-    """True iff F forms a modular pair with every flat."""
+    """True iff F forms a modular pair with every flat. A non-flat F raises
+    DomainError before the rank table is built."""
     a = _check_flat(m, m.mask(f))
-    ra = m.r(a)
-    return all(ra + m.r(g) == m.r(a | g) + m.r(a & g) for g in flats(m))
+    t = rank_table(m)
+    g = np.flatnonzero(closed_flags(t))
+    return bool(np.all(t[a] + t[g] == t[g | a] + t[g & a]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +196,14 @@ def is_vertically_k_connected(m: Matroid, k: int,
     """
     if k < 2:
         raise DomainError("vertical connectivity needs k >= 2")
-    rm = m.full_rank()
-    full = m.full_mask
-    best: Optional[tuple[int, int]] = None
-    for f in flats(m):
-        comp = full & ~f
-        rf = m.r(f)
-        rc = m.r(comp)
-        if rf >= rm or rc >= rm:
-            continue
-        lam = rf + rc - rm
-        if lam < k - 1 and (best is None or (lam, f) < best):
-            best = (lam, f)
-    if best is None:
+    t = rank_table(m)
+    rm = int(t[-1])
+    f = np.flatnonzero(closed_flags(t))
+    rf, rc = t[f], t[t.size - 1 ^ f]
+    lam = rf.astype(np.int64) + rc - rm
+    bad = np.flatnonzero((rf < rm) & (rc < rm) & (lam < k - 1))
+    if bad.size == 0:
         return True
-    lam, f = best
-    return SeparationCertificate(elements_of(f), lam, "vertical-separation")
+    i = bad[np.argmin(lam[bad])]  # the flats ascend: argmin takes the least
+    return SeparationCertificate(elements_of(int(f[i])), int(lam[i]),
+                                 "vertical-separation")

@@ -491,6 +491,16 @@ def rank_reader(m: Matroid) -> Callable[[int], int]:
     return m.r if table is None else table.tobytes().__getitem__
 
 
+def closed_flags(table: np.ndarray) -> np.ndarray:
+    """Which masks are flats, as a bool array indexed by mask: X is closed
+    when r(X + e) > r(X) for every e outside X. One pass per element."""
+    closed = np.ones(table.size, dtype=bool)
+    for e in range(table.size.bit_length() - 1):
+        v, c = table.reshape(-1, 2, 1 << e), closed.reshape(-1, 2, 1 << e)
+        c[:, 0] &= v[:, 1] > v[:, 0]
+    return closed
+
+
 def validate_rank_axioms(m: Matroid) -> None:
     """Exhaustive rank-axiom check on m's rank table; raises
     PreconditionError on violation.

@@ -23,6 +23,7 @@ from .core import (
     MinorCertificate,
     _point_classes,
     check_table_size,
+    closed_flags,
     minor_with_map,
     rank_reader,
     rank_table,
@@ -251,11 +252,7 @@ def _stars(t: np.ndarray, k: int, r: int) -> Optional[list[tuple[int, int]]]:
     element lies in two; the elements then join the cocircuits that
     contain them.
     """
-    closed = t == r - 1  # hyperplanes: the closed masks of rank r - 1
-    for e in range(k):
-        v, c = t.reshape(-1, 2, 1 << e), closed.reshape(-1, 2, 1 << e)
-        c[:, 0] &= v[:, 1] > v[:, 0]
-    hyper = np.flatnonzero(closed)
+    hyper = np.flatnonzero(closed_flags(t) & (t == r - 1))
     for e in range(k):  # drop H when e in H is a coloop of M|H
         hyper = hyper[t[hyper ^ 1 << e] >= r - 1]
     stars = []

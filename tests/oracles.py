@@ -140,6 +140,32 @@ def lam(m, z: int) -> int:
     return m.r(z) + m.r(m.full_mask & ~z) - m.full_rank()
 
 
+def _closure(m, x: int) -> int:
+    """x plus every element whose addition keeps the rank."""
+    rx = m.r(x)
+    return x | sum(1 << e for e in range(m.size)
+                   if m.r(x | 1 << e) == rx)
+
+
+def flats_bfs(m) -> list[int]:
+    """All flats as masks, ascending: a breadth-first search of oracle
+    closures from cl(empty), one element added at a time."""
+    start = _closure(m, 0)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for e in range(m.size):
+                if not f >> e & 1:
+                    g = _closure(m, f | 1 << e)
+                    if g not in seen:
+                        seen.add(g)
+                        nxt.append(g)
+        frontier = nxt
+    return sorted(seen)
+
+
 def _kappa_sides(m, xs, ys):
     """Every Z with X <= Z <= E - Y, by walking the submasks of E - X - Y."""
     xm, ym = m.mask(xs), m.mask(ys)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidkit import clique, direct_sum, uniform
-from matroidkit._bits import mask_of
+from matroidkit._bits import elements_of, mask_of
 from matroidkit.connectivity import (
     SeparationCertificate,
     connectivity,
@@ -20,8 +20,9 @@ from matroidkit.connectivity import (
 from matroidkit.core import Matroid, closure_mask, validate_certificate
 from matroidkit.errors import DomainError
 from conftest import random_linear
-from oracles import kappa_brute, lam
-from strategies import graph_reps, linear_reps
+from oracles import flats_bfs, kappa_brute, lam
+from strategies import graph_reps, linear_reps, planted_reps
+from test_minor_reps import decorated_reps
 
 
 def test_lambda_zero_exactly_on_sum_separators():
@@ -88,11 +89,11 @@ def test_linking_minor_certifies_kappa(rng: random.Random):
 
 @st.composite
 def linking_cases(draw):
-    """A GF(2), GF(3) or GF(5) matrix or a multigraph (loops and parallel
-    edges occur), as given or as its bare oracle, with disjoint X and Y;
-    either may be empty."""
+    """A GF(2), GF(3) or GF(5) matrix, one with F7, F7* or U(2,4) planted,
+    or a multigraph (loops and parallel edges occur), as given or as its
+    bare oracle, with disjoint X and Y; either may be empty."""
     rep = draw(st.one_of(linear_reps(max_cols=9, primes=(2, 3, 5)),
-                         graph_reps(max_edges=9)))
+                         planted_reps(max_cols=9), graph_reps(max_edges=9)))
     m = rep.matroid()
     if draw(st.booleans()):
         m = Matroid(m.size, m._rank_mask)
@@ -158,7 +159,7 @@ def test_triangles_of_cliques_past_the_old_sweep(n):
 
 def test_flats_of_small_cliques_count_vertex_partitions():
     # flats of a graphic clique correspond to vertex partitions
-    bell = {3: 5, 4: 15}
+    bell = {3: 5, 4: 15, 7: 877}
     for n, count in bell.items():
         fs = flats(clique(n))
         assert len(fs) == count
@@ -185,3 +186,40 @@ def test_vertical_connectivity_verdicts():
     assert refuted.kind == "vertical-separation"
     with pytest.raises(DomainError):
         is_vertically_k_connected(clique(4), 1)
+
+
+@st.composite
+def twinned_matroids(draw):
+    """A GF(p) matrix, one with a plant outside the other prime's class, a
+    multigraph or a decorated graph; as given, or as its bare oracle,
+    whose rank table is built by walking the oracle."""
+    rep = draw(st.one_of(linear_reps(), planted_reps(), graph_reps(),
+                         decorated_reps()))
+    m = rep.matroid()
+    if draw(st.booleans()):
+        m = Matroid(m.size, m._rank_mask)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(twinned_matroids())
+def test_flat_sweeps_match_the_closure_search(m):
+    fs = flats_bfs(m)
+    assert flats(m) == fs
+    r = [m.r(x) for x in range(1 << m.size)]
+    for f in fs:
+        assert is_modular_flat(m, elements_of(f)) == all(
+            r[f] + r[g] == r[f | g] + r[f & g] for g in fs)
+    # lambda of each flat whose side and complement both have rank < r(M)
+    lams = {f: r[f] + r[m.full_mask ^ f] - r[-1] for f in fs
+            if r[f] < r[-1] and r[m.full_mask ^ f] < r[-1]}
+    for k in (2, 3, 4):
+        best = min(((v, f) for f, v in lams.items() if v < k - 1),
+                   default=None)
+        cert = is_vertically_k_connected(m, k)
+        if best is None:
+            assert cert is True
+        else:
+            assert (cert.value, m.mask(cert.side)) == best
+            assert type(cert.value) is int
+            assert all(type(e) is int for e in cert.side)

@@ -1,6 +1,7 @@
 """Verification suites (report plumbing) and the command-line workbench."""
 
 import json
+import time
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -12,6 +13,7 @@ from matroidkit import (
     DomainError,
     ResourceLimitError,
     clique,
+    direct_sum,
     dual,
     dump,
     fano,
@@ -346,6 +348,40 @@ def test_cli_graphic_test_over_the_table_cap_refuses_before_building(
     assert code == 3
     assert err == "resource limit: rank table needs |E| <= 22, got 23\n"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("query, options", [
+    ("vertical", ["--k", "3"]),
+    ("modular-flat", ["--set", "0,1,8"]),  # the triangle on vertices 0, 1, 2
+])
+def test_cli_flat_sweeps_over_the_table_cap_refuse_before_building(
+        query, options, tmp_path, capsys):
+    # clique(9) has 36 elements: every flat comes from its rank table
+    path = _write(tmp_path, "k9.json", clique(9))
+    start = time.perf_counter()
+    code, err, peak = _refusal(["query", query, "--matroid", path] + options,
+                               capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err == "resource limit: rank table needs |E| <= 22, got 36\n"
+    assert peak < 1 << 20
+
+
+def test_cli_modular_flat_checks_the_flat_before_the_table_cap(
+        tmp_path, capsys):
+    path = _write(tmp_path, "k9.json", clique(9))
+    assert main(["query", "modular-flat", "--matroid", path,
+                 "--set", "0,1"]) == 2
+    assert "is not a flat" in capsys.readouterr().err
+
+
+def test_cli_vertical_refutation_prints_as_json(tmp_path, capsys):
+    path = _write(tmp_path, "split.json", direct_sum(clique(3), clique(3)))
+    assert main(["query", "vertical", "--matroid", path, "--k", "2",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["refuting-side"], doc["lambda"]) == \
+        (False, [0, 1, 2], 0)
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
