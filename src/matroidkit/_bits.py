@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -75,6 +75,99 @@ def spread_choose(base: int, weights: Iterable[int], size: int) -> np.ndarray:
             by_count[need] = low[count == need]
         parts.append(by_count[need] | high)
     return np.concatenate(parts)
+
+
+def spread_at(base: int, weights: Iterable[int],
+              index: np.ndarray) -> np.ndarray:
+    """spread(base, weights)[index] without the 2^k masks: each byte of
+    index is looked up in the spread of its 8 weights."""
+    weights = tuple(weights)
+    dtype = np.uint64 if max((base, *weights)) >> 31 else np.int32
+    out = spread(base, weights[:8]).astype(dtype, copy=False)[index & 255]
+    for i in range(8, len(weights), 8):
+        out |= spread(0, weights[i:i + 8]).astype(dtype, copy=False)[
+            (index >> i) & 255]
+    return out
+
+
+# A family of subsets of {0..n-1} is packed into max(1, 2^n / 64) uint64
+# words: subset x is bit x % 64 of word x // 64, so it takes 2^n / 8 bytes.
+# Below n = 6 the one word is partly filled and its high bits stay clear.
+WORD = np.dtype("<u8")
+# LOW[e]: the bits x of a word with bit e of x clear
+LOW = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+               dtype=WORD)
+REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+def pack(flags: np.ndarray) -> np.ndarray:
+    """The packed family of a bool array of length 2^n, indexed by mask."""
+    packed = np.packbits(flags, bitorder="little")
+    words = np.zeros(max(1, flags.size >> 6), WORD)
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+def unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The bool array of length 2^n that pack turned into words."""
+    return np.unpackbits(words.view(np.uint8), count=1 << n,
+                         bitorder="little").view(bool)
+
+
+def pack_masks(masks: Iterable[int], n: int) -> np.ndarray:
+    """The packed family whose members are the given masks."""
+    idx = np.fromiter(masks, WORD)
+    words = np.zeros(max(1, (1 << n) >> 6), WORD)
+    np.bitwise_or.at(words, idx >> 6, WORD.type(1) << (idx & 63))
+    return words
+
+
+def or_up(dst: np.ndarray, src: np.ndarray, n: int) -> np.ndarray:
+    """dst[X] |= src[X + e] for each element e outside X, one word pass per
+    element, and return dst. With dst = src each pass reads the last one's
+    result, so this closes the family downward."""
+    for e in range(min(n, 6)):
+        dst |= (src >> (1 << e)) & LOW[e]
+    for e in range(6, n):
+        dst.reshape(-1, 2, 1 << e - 6)[:, 0] |= (
+            src.reshape(-1, 2, 1 << e - 6)[:, 1])
+    return dst
+
+
+def complement(words: np.ndarray, n: int) -> np.ndarray:
+    """The family {E - X : X a member}: the words' bits reversed, byte order
+    first and then each byte by table, and shifted down by the unused top
+    bits of a partly filled word."""
+    out = REV8.take(words.view(np.uint8)[::-1]).view(WORD)
+    out >>= words.size * 64 - (1 << n)
+    return out
+
+
+def maximal_family(words: np.ndarray, n: int) -> np.ndarray:
+    """The family's members with no member X + e above them."""
+    return words & ~or_up(np.zeros_like(words), words, n)
+
+
+def members(words: np.ndarray) -> np.ndarray:
+    """The members of a packed family as ascending int64 masks."""
+    nz = np.flatnonzero(words)
+    rows, cols = np.nonzero(np.unpackbits(
+        words[nz].view(np.uint8), bitorder="little").reshape(-1, 64))
+    return nz[rows] * 64 + cols
+
+
+def first_member(words: np.ndarray) -> Optional[int]:
+    """The least member of a packed family, or None when it is empty."""
+    nz = np.flatnonzero(words)
+    if nz.size == 0:
+        return None
+    w = int(words[nz[0]])
+    return int(nz[0]) * 64 + (w & -w).bit_length() - 1
+
+
+def has_member(words: np.ndarray, x: int) -> bool:
+    return bool(int(words[x >> 6]) >> (x & 63) & 1)
 
 
 def find(parent, x: int) -> int:

@@ -198,12 +198,13 @@ def is_vertically_k_connected(m: Matroid, k: int,
         raise DomainError("vertical connectivity needs k >= 2")
     t = rank_table(m)
     rm = int(t[-1])
-    f = np.flatnonzero(closed_flags(t))
+    f = np.flatnonzero(closed_flags(t)).astype(np.int32)
     rf, rc = t[f], t[t.size - 1 ^ f]
-    lam = rf.astype(np.int64) + rc - rm
-    bad = np.flatnonzero((rf < rm) & (rc < rm) & (lam < k - 1))
-    if bad.size == 0:
+    lam = rf.astype(np.int16) + rc - rm
+    bad = (rf < rm) & (rc < rm) & (lam < k - 1)
+    if not bad.any():
         return True
-    i = bad[np.argmin(lam[bad])]  # the flats ascend: argmin takes the least
+    # the flats ascend: argmin takes the least side of the least lambda
+    i = np.argmin(np.where(bad, lam, np.iinfo(np.int16).max))
     return SeparationCertificate(elements_of(int(f[i])), int(lam[i]),
                                  "vertical-separation")

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ._bits import (bits, elements_of, mask_of, popcount, popcount_table,
-                    spread, spread_choose)
+                    spread, spread_at, spread_choose)
 from .errors import (
     DomainError,
     GroundSetError,
@@ -431,8 +431,7 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
         return False
     # C + image(X) for every target subset X of size r(target)
     sized = spread_choose(0, [1 << t for t in range(target.size)], rt)
-    masks = spread_choose(cmask, [1 << pairs[t] for t in range(target.size)],
-                          rt)
+    masks = spread_at(cmask, [1 << pairs[t] for t in range(target.size)], sized)
     ranks = np.fromiter(map(host.r, masks.tolist()), np.int16, len(masks))
     return np.array_equal(ranks == rc + rt, table[sized] == rt)
 

@@ -7,6 +7,12 @@ members cover the ground set, and (3) no complement of a single element is a
 member. Members are "small"; any subset of a member that is itself
 (theta-1)-separating is again a member (axioms 1+2), so a tangle is stored
 by its maximal members plus that predicate.
+
+Every family of subsets a check reads (the separating sets, T_k, a
+tangle's members) is a packed bitset from _bits: bit x of uint64 words is
+subset x, so a family on n elements takes 2^n/8 bytes, and downward
+closure, complements and maximal members take one word pass per element.
+lambda is a uint8 table, one byte per subset.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._bits import popcount, popcount_table, spread
+from ._bits import (complement, first_member, has_member, maximal_family,
+                    members, or_up, pack, pack_masks, popcount,
+                    popcount_table, spread, unpack)
 from .core import Matroid, MinorCertificate, rank_table, validate_rank_axioms
 from .connectivity import connectivity_mask
 from .errors import DomainError, PreconditionError
@@ -56,42 +64,45 @@ class Tangle:
 
 
 def _lambda_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
-    ranks = rank_table(m).astype(np.int16)
-    lam = ranks + ranks[::-1] - int(m.full_rank())
+    """lambda(X) = r(X) + r(E - X) - r(M) for every mask, in uint8
+    (submodularity keeps it at least 0), and m's rank table."""
+    ranks = rank_table(m)
+    lam = ranks + ranks[::-1]
+    lam -= ranks[-1]
     return lam, ranks
 
 
-def _maximal_members(in_t: np.ndarray, n: int) -> tuple[int, ...]:
-    members = np.nonzero(in_t)[0]
-    out = []
-    for x in members:
-        x = int(x)
-        if all((x >> e) & 1 or not in_t[x | (1 << e)] for e in range(n)):
-            out.append(x)
-    return tuple(out)
+def _separating(lam: np.ndarray, theta: int) -> np.ndarray:
+    """The (theta-1)-separating sets lambda(X) < theta - 1, packed."""
+    return pack(lam < theta - 1)
 
 
-def _family_axioms(m: Matroid, in_fam: np.ndarray, theta: int,
-                   lam: np.ndarray) -> tuple[TangleCheck, tuple[int, ...]]:
-    """Check the three tangle axioms for a family given as a 2^n flag array,
-    where lam is m's lambda table. Returns the verdict and, when it passes,
-    the family's maximal members (else ())."""
+def _under(t: Tangle) -> np.ndarray:
+    """The subsets of t's maximal members, packed."""
+    n = t.matroid.size
+    under = pack_masks(t.maximal, n)
+    return or_up(under, under, n)
+
+
+def _family_axioms(m: Matroid, fam: np.ndarray,
+                   sep: np.ndarray) -> tuple[TangleCheck, tuple[int, ...]]:
+    """Check the three tangle axioms for a packed family, where sep is the
+    packed family of (theta-1)-separating sets. Returns the verdict and,
+    when it passes, the family's maximal members (else ())."""
     n = m.size
     full = m.full_mask
-    sep = lam < theta - 1
 
-    bad = in_fam & ~sep
-    if bad.any():
-        return TangleCheck(False, 1, (int(np.argmax(bad)),)), ()
-    bad = sep & ~(in_fam | in_fam[::-1])
-    if bad.any():
-        return TangleCheck(False, 1, (int(np.argmax(bad)),)), ()
+    bad = first_member(fam & ~sep)
+    if bad is None:
+        bad = first_member(sep & ~(fam | complement(fam, n)))
+    if bad is not None:
+        return TangleCheck(False, 1, (bad,)), ()
 
     for e in range(n):
-        if in_fam[full ^ (1 << e)]:
+        if has_member(fam, full ^ (1 << e)):
             return TangleCheck(False, 3, (full ^ (1 << e),)), ()
 
-    maximal = _maximal_members(in_fam, n)
+    maximal = tuple(members(maximal_family(fam, n)).tolist())
     sizes = [popcount(mx) for mx in maximal]
     biggest = max(sizes, default=0)
     order = sorted(range(len(maximal)), key=lambda i: -sizes[i])
@@ -118,17 +129,19 @@ def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
     whose full membership is expanded from its maximal members.
     """
     lam, _ = _lambda_table(m)  # refuses an oversized m before any flags
+    sep = _separating(lam, theta)
     if isinstance(family, Tangle):
         if family.matroid is not m:
             raise DomainError("tangle belongs to a different matroid")
-        in_fam = _small_flags(family, lam)
+        fam = _under(family) & (sep if family.theta == theta
+                                else _separating(lam, family.theta))
     else:
-        in_fam = np.zeros(1 << m.size, dtype=bool)
-        for x in family:
+        masks = list(family)
+        for x in masks:
             if x < 0 or x > m.full_mask:
                 raise DomainError(f"member mask {x} outside the ground set")
-            in_fam[x] = True
-    return _family_axioms(m, in_fam, theta, lam)[0]
+        fam = pack_masks(masks, m.size)
+    return _family_axioms(m, fam, sep)[0]
 
 
 def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
@@ -141,12 +154,11 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
     if k < 1:
         raise DomainError("tangle order must be positive")
     lam, ranks = _lambda_table(m)
-    rm = int(m.full_rank())
-    pc = popcount_table(m.size).astype(np.int16)
+    sep = _separating(lam, k)
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
-    dependent_rest = pc[::-1] > ranks[::-1]
-    in_t = (lam < k - 1) & (ranks < rm) & dependent_rest
-    verdict, maximal = _family_axioms(m, in_t, k, lam)
+    dependent = pack(ranks < popcount_table(m.size))
+    in_t = sep & pack(ranks < ranks[-1]) & complement(dependent, m.size)
+    verdict, maximal = _family_axioms(m, in_t, sep)
     if not verdict.ok:
         return verdict
     return Tangle(m, k, maximal)
@@ -167,7 +179,8 @@ def tangle_matroid(t: Tangle) -> Matroid:
     """
     m = t.matroid
     lam, _ = _lambda_table(m)
-    table = np.where(_small_flags(t, lam), lam, t.theta - 1).astype(np.uint8)
+    small = unpack(_under(t) & _separating(lam, t.theta), m.size)
+    table = np.where(small, lam, t.theta - 1).astype(np.uint8, copy=False)
     for e in range(m.size):
         v = table.reshape(-1, 2, 1 << e)
         np.minimum(v[:, 0], v[:, 1], out=v[:, 0])
@@ -194,31 +207,20 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     if not cert.validate(m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
-    lam, _ = _lambda_table(m)
-    small_n = _small_flags(t_n, _lambda_table(target)[0])
+    sep = _separating(_lambda_table(m)[0], theta)
+    small_n = unpack(_under(t_n) & _separating(_lambda_table(target)[0], theta),
+                     target.size)
     weight = [0] * m.size  # host element h carries target bit weight[h]
     for t_elem, h_elem in cert.mapping:
         weight[h_elem] = 1 << t_elem
     # the target mask of every host subset's trace X meet E(N)
-    in_t = (lam < theta - 1) & small_n[spread(0, weight)]
-    verdict, maximal = _family_axioms(m, in_t, theta, lam)
+    in_t = sep & pack(small_n[spread(0, weight)])
+    verdict, maximal = _family_axioms(m, in_t, sep)
     if not verdict.ok:
         raise PreconditionError(
             f"induced family violates tangle axiom {verdict.axiom}; "
             "the given family was not a tangle")
     return Tangle(m, theta, maximal)
-
-
-def _small_flags(t: Tangle, lam: np.ndarray) -> np.ndarray:
-    """Membership of every subset of t's ground set, as a 2^n flag array,
-    where lam is t.matroid's lambda table."""
-    n = t.matroid.size
-    under = np.zeros(1 << n, dtype=bool)
-    under[list(t.maximal)] = True
-    for e in range(n):  # close downward: a set is under a member if X + e is
-        v = under.reshape(-1, 2, 1 << e)
-        v[:, 0, :] |= v[:, 1, :]
-    return (lam < t.theta - 1) & under
 
 
 def clique_minor_tangle(m: Matroid, cert: MinorCertificate, n: int) -> Tangle:

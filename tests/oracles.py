@@ -459,3 +459,107 @@ def trace_shift(n: int, mapping) -> np.ndarray:
     for t_elem, h_elem in mapping:
         trace |= ((idx >> h_elem) & 1) << t_elem
     return trace
+
+
+# ---------------------------------------------------------------------------
+# tangle families as bool flag arrays of length 2^n, one byte per subset,
+# with lambda in int16 from a per-subset oracle walk: the plain form of the
+# packed families of matroidkit.tangles. Verdicts are (ok, axiom, witness).
+
+
+def lambda_flags(m) -> np.ndarray:
+    ranks = np.array([m.r(x) for x in range(1 << m.size)], dtype=np.int16)
+    return ranks + ranks[::-1] - m.full_rank()
+
+
+def down_closure_flags(flags: np.ndarray, n: int) -> np.ndarray:
+    """Every subset of a member: X is in when X + e is, element by element."""
+    under = flags.copy()
+    for e in range(n):
+        v = under.reshape(-1, 2, 1 << e)
+        v[:, 0, :] |= v[:, 1, :]
+    return under
+
+
+def maximal_members_loop(flags: np.ndarray, n: int) -> tuple[int, ...]:
+    """The members with no member X + e, one member at a time."""
+    out = []
+    for x in np.flatnonzero(flags).tolist():
+        if all((x >> e) & 1 or not flags[x | (1 << e)] for e in range(n)):
+            out.append(x)
+    return tuple(out)
+
+
+def small_flags(t) -> np.ndarray:
+    """The members of a tangle stored by its maximal members."""
+    n = t.matroid.size
+    under = np.zeros(1 << n, dtype=bool)
+    under[list(t.maximal)] = True
+    return (lambda_flags(t.matroid) < t.theta - 1) & down_closure_flags(under, n)
+
+
+def family_axioms_flags(m, flags: np.ndarray, theta: int):
+    """The tangle axioms on a flag array: (verdict, maximal members or ())."""
+    n, full = m.size, m.full_mask
+    sep = lambda_flags(m) < theta - 1
+    for bad in (flags & ~sep, sep & ~(flags | flags[::-1])):
+        if bad.any():
+            return (False, 1, (int(np.argmax(bad)),)), ()
+    for e in range(n):
+        if flags[full ^ (1 << e)]:
+            return (False, 3, (full ^ (1 << e),)), ()
+    maximal = maximal_members_loop(flags, n)
+    sizes = [mx.bit_count() for mx in maximal]
+    biggest = max(sizes, default=0)
+    order = sorted(range(len(maximal)), key=lambda i: -sizes[i])
+    for ii, i in enumerate(order):
+        a = maximal[i]
+        if a.bit_count() + 2 * biggest < n:
+            break
+        for j in order[ii:]:
+            ab = a | maximal[j]
+            if ab.bit_count() + biggest < n:
+                continue
+            for k in order:
+                if ab | maximal[k] == full:
+                    return (False, 2, (a, maximal[j], maximal[k])), ()
+    return (True, None, ()), maximal
+
+
+def tangle_tk_flags(m, k: int):
+    """T_k: (k-1)-separating sets that neither span nor cospan."""
+    n, rm = m.size, m.full_rank()
+    ranks = np.array([m.r(x) for x in range(1 << n)], dtype=np.int16)
+    pc = np.array([x.bit_count() for x in range(1 << n)], dtype=np.int16)
+    flags = ((lambda_flags(m) < k - 1) & (ranks < rm)
+             & (pc[::-1] > ranks[::-1]))
+    return family_axioms_flags(m, flags, k)
+
+
+def is_tangle_flags(m, family, theta: int):
+    """is_tangle on a Tangle (by its members) or a list of member masks."""
+    if hasattr(family, "maximal"):
+        flags = small_flags(family)
+    else:
+        flags = np.zeros(1 << m.size, dtype=bool)
+        flags[list(family)] = True
+    return family_axioms_flags(m, flags, theta)[0]
+
+
+def induced_tangle_flags(m, cert, t_n):
+    """The host family of an induced tangle: lambda_M(X) < theta - 1 and the
+    trace of X on the minor's elements small in t_n."""
+    flags = ((lambda_flags(m) < t_n.theta - 1)
+             & small_flags(t_n)[trace_shift(m.size, cert.mapping)])
+    return family_axioms_flags(m, flags, t_n.theta)
+
+
+def tangle_matroid_flags(t) -> np.ndarray:
+    """kappa_T's table: lambda on small sets, theta - 1 elsewhere, then the
+    superset minimum, one element at a time."""
+    table = np.where(small_flags(t), lambda_flags(t.matroid),
+                     t.theta - 1).astype(np.uint8)
+    for e in range(t.matroid.size):
+        v = table.reshape(-1, 2, 1 << e)
+        np.minimum(v[:, 0], v[:, 1], out=v[:, 0])
+    return table

@@ -1,10 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit import clique, direct_sum, uniform
+from matroidkit import clique, direct_sum, rank_table, uniform
 from matroidkit._bits import elements_of, mask_of
 from matroidkit.connectivity import (
     SeparationCertificate,
@@ -186,6 +187,22 @@ def test_vertical_connectivity_verdicts():
     assert refuted.kind == "vertical-separation"
     with pytest.raises(DomainError):
         is_vertically_k_connected(clique(4), 1)
+
+
+def test_vertical_sweep_of_2_20_flats_fits_in_16_mib():
+    """Every subset of uniform(20, 20) is a flat: the sweep indexes them as
+    int32 and keeps lambda in int16."""
+    m = uniform(20, 20)
+    rank_table(m)
+    tracemalloc.start()
+    try:
+        cert = is_vertically_k_connected(m, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.side, cert.value, cert.kind) == ((0,), 0, "vertical-separation")
+    assert type(cert.value) is int and all(type(e) is int for e in cert.side)
+    assert peak < 16 << 20
 
 
 @st.composite

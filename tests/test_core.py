@@ -34,6 +34,7 @@ from matroidkit.errors import (
     PreconditionError,
     ResourceLimitError,
 )
+from matroidkit._bits import mask_of, spread_choose
 from conftest import random_graph, random_linear
 from oracles import eps_oracle, rank_axioms_hold
 
@@ -221,6 +222,36 @@ def test_certificate_reads_only_the_rank_and_the_bases():
     host = Matroid(15, rank_mask)
     assert validate_certificate(_identity(host), host, clique(6))
     assert len(calls) == len(set(calls)) <= 3003 + 2  # C(15, 5) + 2
+
+
+@pytest.mark.parametrize("target,size,image", [
+    (clique(5), 40, [3, 33, 7, 39, 12, 31, 35, 0, 20, 36]),  # masks past 2^31
+    (clique(6), 20, [19, 2, 5, 11, 0, 17, 8, 14, 1, 9, 3, 16, 12, 6, 18]),
+])
+def test_certificate_reads_the_masks_of_one_spread_per_side(target, size,
+                                                            image):
+    """The host reads C + image(X) for the target's r-subsets X in the
+    order of spread_choose over the host's own bits, as when both sides
+    were built by a spread_choose call each. Target element i sits at host
+    element image[i]; every other host element is a loop, the odd ones
+    contracted."""
+    table = rank_table(target)
+    calls = []
+
+    def rank_mask(mask):
+        calls.append(mask)
+        return int(table[sum(1 << i for i, h in enumerate(image)
+                             if mask >> h & 1)])
+
+    host = Matroid(size, rank_mask)
+    rest = set(range(size)) - set(image)
+    contract = frozenset(e for e in rest if e % 2)
+    cert = MinorCertificate(contract, frozenset(rest - contract),
+                            tuple(enumerate(image)))
+    assert validate_certificate(cert, host, target)
+    cmask = mask_of(contract)
+    bases = spread_choose(cmask, [1 << h for h in image], int(table[-1]))
+    assert calls == [cmask, cmask | mask_of(image)] + bases.tolist()
 
 
 def test_certificate_workspace_grows_with_the_bases_not_the_subsets():

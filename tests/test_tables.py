@@ -6,8 +6,10 @@ their edges touch, the array transforms for recipe tables, table equality in
 same_rank_function, the subset-closure sweep in tangle membership) is
 compared with the subset-by-subset definition it replaces. The mask
 families these sweeps read come from _bits.spread, which is compared with
-the bit-by-bit shift form, and _bits.spread_choose with spread's masks of
-one size. kappa, a matroid intersection through the
+the bit-by-bit shift form, _bits.spread_choose with spread's masks of
+one size, and _bits.spread_at with the shift form. The packed family
+kernels of _bits (pack, downward closure, complement, maximal members) are
+compared with the one-byte flag loops of oracles. kappa, a matroid intersection through the
 oracle, is compared with the table-gather sweep it replaced (kappa_sweep)
 on inputs too wide for the brute walk, and with itself on the bare oracle
 of the same matroid, including on ground sets too large for a table.
@@ -38,19 +40,24 @@ from matroidkit import (
     uniform,
     whirl,
 )
-from matroidkit._bits import (CHOOSE_SPLIT, elements_of, popcount_table,
-                              spread, spread_choose)
+from matroidkit._bits import (CHOOSE_SPLIT, WORD, complement, elements_of,
+                              first_member, has_member, maximal_family,
+                              members, or_up, pack, pack_masks,
+                              popcount_table, spread, spread_at,
+                              spread_choose, unpack)
 from matroidkit.core import Matroid, closure_mask
 from matroidkit.representations import GraphRep, LinearRep
-from matroidkit.tangles import Tangle, _lambda_table, _small_flags
+from matroidkit.tangles import Tangle, _lambda_table, _separating, _under
 
 from oracles import (
+    down_closure_flags,
     gf_rank,
     graph_rank,
     kappa_brute,
     kappa_sweep,
     lam,
     least_kappa_witness,
+    maximal_members_loop,
 )
 from test_minor_reps import decorated_reps
 from test_properties import graph_matroids, linear_matroids
@@ -132,8 +139,35 @@ def test_small_flags_match_per_member_definition(m, data):
     for mx in maximal:
         under |= (idx & ~mx) == 0
     separating = np.array([lam(m, x) < theta - 1 for x in range(1 << n)])
-    assert np.array_equal(_small_flags(t, _lambda_table(m)[0]),
-                          separating & under)
+    small = _under(t) & _separating(_lambda_table(m)[0], theta)
+    assert np.array_equal(unpack(small, n), separating & under)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.02, 0.3, 0.7, 1.0)))
+def test_packed_kernels_match_the_flag_loops(n, seed, density):
+    """Up to n = 5 the family fits in one partly filled word."""
+    flags = np.random.default_rng(seed).random(1 << n) < density
+    full = (1 << n) - 1
+    words = pack(flags)
+    assert words.dtype == WORD and words.size == max(1, (1 << n) // 64)
+    assert np.array_equal(unpack(words, n), flags)
+    assert np.array_equal(pack_masks(np.flatnonzero(flags).tolist(), n), words)
+    assert members(words).tolist() == np.flatnonzero(flags).tolist()
+    assert first_member(words) == next(
+        (x for x in range(1 << n) if flags[x]), None)
+    assert [has_member(words, x) for x in range(1 << n)] == flags.tolist()
+    comp = complement(words, n)
+    assert unpack(comp, n).tolist() == [flags[full ^ x] for x in range(1 << n)]
+    under = words.copy()
+    closed = or_up(under, under, n)
+    assert np.array_equal(unpack(closed, n), down_closure_flags(flags, n))
+    top = maximal_family(words, n)
+    assert members(top).tolist() == list(maximal_members_loop(flags, n))
+    for w in (comp, closed, top):  # the bits past 2^n stay clear
+        assert not np.unpackbits(w.view(np.uint8),
+                                 bitorder="little")[1 << n:].any()
 
 
 @st.composite
@@ -389,6 +423,24 @@ def test_spread_choose_past_its_split(width):
         out = spread_choose(base, weights, size)
         assert out.dtype == whole.dtype
         assert np.array_equal(out, whole[count == size])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((31, 64)).flatmap(lambda width: st.tuples(
+    st.integers(0, (1 << width) - 1),
+    st.lists(st.integers(0, (1 << width) - 1), max_size=22))), st.data())
+def test_spread_at_matches_the_shift_form(case, data):
+    """One byte table per 8 weights, against ORing the weights of each
+    index's set bits."""
+    base, weights = case
+    index = data.draw(st.lists(st.integers(0, (1 << len(weights)) - 1),
+                               max_size=40), label="index")
+    out = spread_at(base, weights, np.array(index, dtype=np.int32))
+    assert out.dtype == (np.uint64 if max((base, *weights)) >> 31
+                         else np.int32)
+    assert out.tolist() == [functools.reduce(
+        operator.or_, (w for i, w in enumerate(weights) if s >> i & 1), base)
+        for s in index]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,28 +1,46 @@
 """Tangle families, axiom checking, tangle matroids, induced tangles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
+    MinorCertificate,
+    PreconditionError,
     ResourceLimitError,
     Tangle,
     clique,
     clique_minor_tangle,
     direct_sum,
     find_clique_minor,
+    induced_tangle,
     is_tangle,
+    minor_with_map,
     rank_table,
     tangle_matroid,
     tangle_tk,
     uniform,
     validate_rank_axioms,
 )
-from matroidkit._bits import spread
+from matroidkit._bits import elements_of, spread
+from matroidkit.core import Matroid
 from matroidkit.tangles import TangleCheck
 from conftest import random_graph, random_linear
-from oracles import tangle_rank_walk, trace_shift
+from oracles import (
+    induced_tangle_flags,
+    is_tangle_flags,
+    lambda_flags,
+    rank_axioms_hold,
+    small_flags,
+    tangle_matroid_flags,
+    tangle_rank_walk,
+    tangle_tk_flags,
+    trace_shift,
+)
+from strategies import graph_reps, linear_reps, planted_reps
 
 
 # maximal-member counts of T_k(M(K_n)) at the clique tangle order
@@ -163,3 +181,112 @@ def test_host_trace_matches_the_shift_form(case):
     trace = spread(0, weights)
     assert trace.dtype == np.int32
     assert np.array_equal(trace, trace_shift(n, mapping))
+
+
+def _verdict(check: TangleCheck):
+    return check.ok, check.axiom, check.witness
+
+
+def _same_tangle_matroid(t):
+    """tangle_matroid's table is the flag reference's, or both fail the rank
+    axioms."""
+    want = tangle_matroid_flags(t)
+    try:
+        got = rank_table(tangle_matroid(t))
+    except PreconditionError:
+        n = t.matroid.size
+        assert not rank_axioms_hold(Matroid(n, lambda x: int(want[x])))
+    else:
+        assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(linear_reps(), planted_reps(), graph_reps()),
+       st.integers(0, 5), st.data())
+def test_packed_tangles_match_the_flag_reference(rep, theta, data):
+    """Verdicts, axioms, witnesses and maximal members of the packed
+    families against one-byte flags with lambda in int16, at every order
+    from 0 (nothing separates) up."""
+    m = rep.matroid()
+    n, full = m.size, m.full_mask
+    tangles = []
+    for k in range(1, 6):
+        got = tangle_tk(m, k)
+        want, maximal = tangle_tk_flags(m, k)
+        if isinstance(got, Tangle):
+            assert want == (True, None, ()) and got.maximal == maximal
+            tangles.append(got)
+        else:
+            assert (_verdict(got), ()) == (want, maximal)
+
+    # mask lists: random ones fail axiom 1; one set of each separating pair
+    # passes it, and adding the separating E - e fails axiom 3
+    rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+    sep = lambda_flags(m) < theta - 1
+    pick = [rnd.random() < 0.5 for _ in range(1 << n)]
+    halves = [x for x in range(1 << n)
+              if sep[x] and (pick[x] or not pick[full ^ x])]
+    lists = [[x for x in range(1 << n) if rnd.random() < 0.3], halves,
+             halves + [full ^ (1 << e) for e in range(n)
+                       if sep[full ^ (1 << e)]]]
+    for fam in lists:
+        assert _verdict(is_tangle(m, fam, theta)) == is_tangle_flags(
+            m, fam, theta)
+
+    maximal = data.draw(st.lists(st.integers(0, full), max_size=6),
+                        label="maximal")
+    tangles.append(Tangle(m, data.draw(st.integers(0, 5), label="order"),
+                          maximal))
+    for t in tangles:
+        assert _verdict(is_tangle(m, t, theta)) == is_tangle_flags(m, t, theta)
+        _same_tangle_matroid(t)
+
+    # tangles of a minor N = m / C \ D, induced back onto m
+    c = data.draw(st.integers(0, full), label="contract")
+    d = data.draw(st.integers(0, full), label="delete") & ~c
+    target, keep = minor_with_map(m, elements_of(c), elements_of(d))
+    cert = MinorCertificate(frozenset(elements_of(c)),
+                            frozenset(elements_of(d)), tuple(enumerate(keep)))
+    minor_tangles = [t for k in range(1, 4)
+                     if isinstance(t := tangle_tk(target, k), Tangle)]
+    minor_tangles.append(Tangle(target, theta, [
+        mx & target.full_mask for mx in maximal]))
+    for t_n in minor_tangles:
+        want, want_max = induced_tangle_flags(m, cert, t_n)
+        try:
+            got = induced_tangle(m, cert, t_n)
+        except PreconditionError as err:
+            assert not want[0] and f"axiom {want[1]}" in str(err)
+        else:
+            assert want[0] and got.maximal == want_max
+            assert got.theta == t_n.theta
+
+
+def test_known_axiom_failures_match_the_flag_reference():
+    k4 = clique(4)
+    members = np.flatnonzero(small_flags(tangle_tk(k4, 3))).tolist()
+    for family, axiom in (([0, 0b1011], 1), ([], 1),
+                          (members + [k4.full_mask ^ 1], 3)):
+        got = is_tangle(k4, family, 3)
+        assert got.axiom == axiom
+        assert _verdict(got) == is_tangle_flags(k4, family, 3)
+    pairs = direct_sum(direct_sum(uniform(1, 2), uniform(1, 2)), uniform(1, 2))
+    got = tangle_tk(pairs, 2)
+    assert got.axiom == 2
+    assert (_verdict(got), ()) == tangle_tk_flags(pairs, 2)
+
+
+def test_clique7_tangle_check_fits_in_8_mib():
+    """The families of T_4(clique(7)) are packed 2^21-bit sets: lambda and
+    the rank comparisons take one byte per subset, each family 256 KiB."""
+    m = clique(7)
+    rank_table(m)
+    tracemalloc.start()
+    try:
+        t = tangle_tk(m, 4)
+        assert is_tangle(m, t, 4).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.maximal) == 140
+    assert peak < 8 << 20
