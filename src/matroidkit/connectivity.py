@@ -23,7 +23,7 @@ import numpy as np
 
 from ._bits import bits, elements_of, mask_of
 from .core import (Matroid, MinorCertificate, closed_flags, closure_mask,
-                   minor_with_map, rank_table)
+                   lambda_table, minor_with_map, rank_table)
 from .errors import DomainError
 
 
@@ -199,12 +199,11 @@ def is_vertically_k_connected(m: Matroid, k: int,
     t = rank_table(m)
     rm = int(t[-1])
     f = np.flatnonzero(closed_flags(t)).astype(np.int32)
-    rf, rc = t[f], t[t.size - 1 ^ f]
-    lam = rf.astype(np.int16) + rc - rm
-    bad = (rf < rm) & (rc < rm) & (lam < k - 1)
+    lam = lambda_table(t)[f]
+    bad = (t[f] < rm) & (t[t.size - 1 ^ f] < rm) & (lam < k - 1)
     if not bad.any():
         return True
     # the flats ascend: argmin takes the least side of the least lambda
-    i = np.argmin(np.where(bad, lam, np.iinfo(np.int16).max))
+    i = np.argmin(np.where(bad, lam, np.iinfo(lam.dtype).max))
     return SeparationCertificate(elements_of(int(f[i])), int(lam[i]),
                                  "vertical-separation")

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ._bits import elements_of, mask_of, popcount
 from .core import (
     Matroid,
     Recipe,
+    _point_classes,
     check_size,
     closure_mask,
     contract,
-    parallel_classes,
-    loops_mask,
+    rank_reader,
 )
 from .errors import DomainError, PreconditionError
 from .representations import (
@@ -314,69 +314,41 @@ def spike(r: int) -> Matroid:
 def is_spike(m: Matroid) -> Optional[SpikeDecomposition]:
     """Search for a spike decomposition; None if the matroid is not a spike.
 
-    Tries every parallel class as the tip set T, pairs the rest by the
-    rank-2 flats through T, then searches leg orientations until the two
-    transversals are circuits of M/T.
+    Reads m through rank_reader, in m's labels. Tries every parallel class
+    as the tip set T and pairs the rest by the rank-2 flats through T; the
+    firsts of the pairs must then be a circuit of M/T.
     """
-    if m.size == 0 or loops_mask(m):
+    return _spike(rank_reader(m), 0, range(m.size))
+
+
+def _spike(r: Callable[[int], int], cmask: int, elements: Iterable[int]
+           ) -> Optional[SpikeDecomposition]:
+    """A spike decomposition of (M / cmask) | elements (ascending) in M's
+    labels, where r reads M's ranks, or None."""
+    classes, loops = _point_classes(r, cmask, elements)
+    if loops:
         return None
-    classes = parallel_classes(m)
-    rm = m.full_rank()
+    rank = r(cmask | mask_of(itertools.chain(*classes))) - r(cmask)
     for t_idx, tip_class in enumerate(classes):
         if any(len(c) != 1 for i, c in enumerate(classes) if i != t_idx):
             continue  # legs must induce a simple restriction
-        t_mask = mask_of(tip_class)
+        ct = cmask | mask_of(tip_class)
+        rest = [c[0] for i, c in enumerate(classes) if i != t_idx]
         lines: dict[int, list[int]] = {}
-        ok = True
-        for e in range(m.size):
-            if (t_mask >> e) & 1:
-                continue
-            line = closure_mask(m, t_mask | (1 << e))
-            outside = line & ~t_mask
-            lines.setdefault(outside, []).append(e)
-        pairs = []
-        for outside, members in sorted(lines.items()):
-            if popcount(outside) != 2 or len(members) != 2:
-                ok = False
-                break
-            pairs.append(tuple(members))
-        if not ok or not pairs:
+        for e in rest:
+            # the elements off T on the line through T + e
+            cte = ct | 1 << e
+            rl = r(cte)
+            line = mask_of(f for f in rest if r(cte | 1 << f) == rl)
+            lines.setdefault(line, []).append(e)
+        pairs = [tuple(members) for line, members in sorted(lines.items())
+                 if len(members) == popcount(line) == 2]
+        if not 0 < len(pairs) == len(lines) == rank:
             continue
-        k = len(pairs)
-        if rm != k:
-            continue
-        legs = _orient_legs(m, t_mask, pairs)
-        if legs is not None:
-            return SpikeDecomposition(tuple(tip_class), legs, k)
-    return None
-
-
-def _orient_legs(m: Matroid, t_mask: int, pairs: list[tuple[int, int]]
-                 ) -> Optional[tuple[tuple[int, int], ...]]:
-    """Pick one leg per pair so both transversals are circuits of M/T."""
-    k = len(pairs)
-    rt = m.r(t_mask)
-
-    def contracted_rank(mask: int) -> int:
-        return m.r(mask | t_mask) - rt
-
-    def is_circuit(elems: list[int]) -> bool:
-        mask = mask_of(elems)
-        if contracted_rank(mask) != len(elems) - 1:
-            return False
-        return all(contracted_rank(mask ^ (1 << e)) == len(elems) - 1
-                   for e in elems)
-
-    # first pair fixed: swapping X and Y is a symmetry
-    for choice in range(1 << (k - 1)):
-        xs = [pairs[0][0]]
-        ys = [pairs[0][1]]
-        for i in range(1, k):
-            a, b = pairs[i]
-            if (choice >> (i - 1)) & 1:
-                a, b = b, a
-            xs.append(a)
-            ys.append(b)
-        if is_circuit(xs) and is_circuit(ys):
-            return tuple((xs[i], ys[i]) for i in range(k))
+        # the legs of a pair are parallel in M/T, which has rank k - 1, so
+        # every transversal is a circuit of M/T exactly when the firsts are:
+        # when each k - 1 of them are independent there
+        xs, rt = mask_of(x for x, _ in pairs), r(ct)
+        if all(r((xs ^ 1 << x) | ct) - rt == rank - 1 for x, _ in pairs):
+            return SpikeDecomposition(tip_class, tuple(pairs), rank)
     return None

@@ -25,7 +25,10 @@ from .errors import (
 
 GROUND_SET_CAP = 64
 
-# Memo entries per matroid; beyond this, rank queries stop caching.
+# Memo entries per matroid; beyond this, rank queries stop caching. No
+# suite needs the memo now: their sweeps read rank tables, and with it off
+# linking and extension-reduction lose only tens of milliseconds. It stays
+# because perfbench's tracer reads m._cache to count memo hits.
 _CACHE_LIMIT = 1 << 20
 
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
@@ -498,6 +501,15 @@ def closed_flags(table: np.ndarray) -> np.ndarray:
         v, c = table.reshape(-1, 2, 1 << e), closed.reshape(-1, 2, 1 << e)
         c[:, 0] &= v[:, 1] > v[:, 0]
     return closed
+
+
+def lambda_table(t: np.ndarray) -> np.ndarray:
+    """lambda(X) = r(X) + r(E - X) - r(M) for every mask, in uint8, where t
+    is M's rank table (t[::-1][X] = t[E - X]; submodularity keeps lambda
+    at least 0)."""
+    lam = t + t[::-1]
+    lam -= t[-1]
+    return lam
 
 
 def validate_rank_axioms(m: Matroid) -> None:

@@ -11,17 +11,15 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ._bits import popcount
-from .core import (Matroid, loops_mask, parallel_classes, rank_reader,
-                   rank_table)
+from .core import Matroid, _point_classes, rank_reader, rank_table
 from .errors import ResourceLimitError
 
 
 def invariant_profile(m: Matroid) -> tuple:
     """Cheap isomorphism invariants: anything that differs rules iso out."""
-    classes = parallel_classes(m)
+    classes, loops = _point_classes(m.r, 0, range(m.size))
     class_sizes = tuple(sorted(len(c) for c in classes))
-    n_loops = popcount(loops_mask(m))
+    n_loops = len(loops)
     tri = _triangle_counts(m)
     return (
         m.size,

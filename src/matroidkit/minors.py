@@ -24,16 +24,16 @@ from .core import (
     _point_classes,
     check_table_size,
     closed_flags,
+    lambda_table,
     minor_with_map,
     rank_reader,
     rank_table,
-    restriction,
     same_rank_function,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .isomorphism import find_embedding
 from .representations import GraphRep, LinearRep, standard_rep
-from .constructions import clique, is_spike, uniform
+from .constructions import _spike, clique, uniform
 
 MINOR_SIZE_CAP = 24
 
@@ -205,13 +205,13 @@ def _realize(t: np.ndarray) -> Optional[list[tuple[int, int]]]:
     full = t.size - 1
     if k <= 1:
         return [(0, r)] * k  # a loop or an edge
-    lam = t + t[::-1]  # r(X) + r(E - X), as t[::-1][X] = t[E - X]
-    a = int(np.argmax(lam[1:-1] == r)) + 1
-    marked = lam[a] != r  # no 1-separation
+    lam = lambda_table(t)
+    a = int(np.argmax(lam[1:-1] == 0)) + 1
+    marked = lam[a] != 0  # no 1-separation
     if marked:
         if k <= 3:  # connected: U(1,2), U(1,3) or U(2,3)
             return [(0, 1)] * k if r == 1 else [(0, 1), (1, 2), (0, 2)]
-        two = lam == r + 1
+        two = lam == 1
         for e in range(k):  # each element and its complement has lambda 1
             two[1 << e] = two[full ^ 1 << e] = False
         a = int(np.argmax(two))
@@ -410,38 +410,35 @@ def spike_split_witness(m: Matroid, spike_elements: Iterable[int], e: int
     S = m restricted to spike_elements must be a spike, and e a nonloop
     that is neither a tip of S nor parallel to one. Returns the two element
     sets in m's labels, or None when no pair of spike restrictions covers.
+    Every candidate is read in m's labels through one rank_reader of m, so
+    no minor is built and a cached or built rank table answers every read.
     """
     smask = m.mask(spike_elements)
-    s_elems = elements_of(smask)
-    decomp = is_spike(restriction(m, s_elems))
+    bit = m.mask((e,))
+    r = rank_reader(m)
+    decomp = _spike(r, 0, elements_of(smask))
     if decomp is None:
         raise PreconditionError("the given set is not a spike restriction")
-    tips = {s_elems[i] for i in decomp.tips}
-    bit = 1 << e
-    if m.r(bit) == 0:
+    if r(bit) == 0:
         raise PreconditionError("e is a loop")
-    if e in tips:
+    if e in decomp.tips:
         raise PreconditionError("e is a tip of the spike")
-    for t in tips:
-        if m.r(bit | (1 << t)) == 1:
+    for t in decomp.tips:
+        if r(bit | (1 << t)) == 1:
             raise PreconditionError("e is parallel to a tip of the spike")
 
-    mc, keep = minor_with_map(m, [e], ())
-    fwd = {h: i for i, h in enumerate(keep)}
-    goal = mask_of(fwd[x] for x in s_elems if x != e)
-
+    goal = smask & ~bit
     # spikes have rank >= 3 and hence at least 7 elements
     pool = elements_of(goal)
     found: list[int] = []
     for size in range(len(pool), 6, -1):
         for sub in itertools.combinations(pool, size):
-            if is_spike(restriction(mc, sub)) is not None:
+            if _spike(r, bit, sub) is not None:
                 found.append(mask_of(sub))
     for i, s1 in enumerate(found):
         for s2 in found[i:]:
             if s1 | s2 == goal:
-                return (tuple(keep[x] for x in bits(s1)),
-                        tuple(keep[x] for x in bits(s2)))
+                return elements_of(s1), elements_of(s2)
     return None
 
 

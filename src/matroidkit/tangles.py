@@ -25,7 +25,8 @@ import numpy as np
 from ._bits import (complement, first_member, has_member, maximal_family,
                     members, or_up, pack, pack_masks, popcount,
                     popcount_table, spread, unpack)
-from .core import Matroid, MinorCertificate, rank_table, validate_rank_axioms
+from .core import (Matroid, MinorCertificate, lambda_table, rank_table,
+                   validate_rank_axioms)
 from .connectivity import connectivity_mask
 from .errors import DomainError, PreconditionError
 
@@ -61,15 +62,6 @@ class Tangle:
     def __repr__(self):
         return (f"<Tangle order={self.theta} on n={self.matroid.size}, "
                 f"{len(self.maximal)} maximal members>")
-
-
-def _lambda_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
-    """lambda(X) = r(X) + r(E - X) - r(M) for every mask, in uint8
-    (submodularity keeps it at least 0), and m's rank table."""
-    ranks = rank_table(m)
-    lam = ranks + ranks[::-1]
-    lam -= ranks[-1]
-    return lam, ranks
 
 
 def _separating(lam: np.ndarray, theta: int) -> np.ndarray:
@@ -128,7 +120,7 @@ def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
     family is either an iterable of masks (taken literally) or a Tangle,
     whose full membership is expanded from its maximal members.
     """
-    lam, _ = _lambda_table(m)  # refuses an oversized m before any flags
+    lam = lambda_table(rank_table(m))  # refuses an oversized m first
     sep = _separating(lam, theta)
     if isinstance(family, Tangle):
         if family.matroid is not m:
@@ -153,7 +145,8 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
     """
     if k < 1:
         raise DomainError("tangle order must be positive")
-    lam, ranks = _lambda_table(m)
+    ranks = rank_table(m)
+    lam = lambda_table(ranks)
     sep = _separating(lam, k)
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
     dependent = pack(ranks < popcount_table(m.size))
@@ -178,7 +171,7 @@ def tangle_matroid(t: Tangle) -> Matroid:
     element. The rank axioms are checked exhaustively when |E| <= 12.
     """
     m = t.matroid
-    lam, _ = _lambda_table(m)
+    lam = lambda_table(rank_table(m))
     small = unpack(_under(t) & _separating(lam, t.theta), m.size)
     table = np.where(small, lam, t.theta - 1).astype(np.uint8, copy=False)
     for e in range(m.size):
@@ -207,9 +200,10 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     if not cert.validate(m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
-    sep = _separating(_lambda_table(m)[0], theta)
-    small_n = unpack(_under(t_n) & _separating(_lambda_table(target)[0], theta),
-                     target.size)
+    sep = _separating(lambda_table(rank_table(m)), theta)
+    small_n = unpack(
+        _under(t_n) & _separating(lambda_table(rank_table(target)), theta),
+        target.size)
     weight = [0] * m.size  # host element h carries target bit weight[h]
     for t_elem, h_elem in cert.mapping:
         weight[h_elem] = 1 << t_elem

@@ -563,3 +563,93 @@ def tangle_matroid_flags(t) -> np.ndarray:
         v = table.reshape(-1, 2, 1 << e)
         np.minimum(v[:, 0], v[:, 1], out=v[:, 0])
     return table
+
+
+# ---------------------------------------------------------------------------
+# spikes read through minors: every candidate is a restriction of a
+# contraction, a Matroid that ranks through the host's oracle. The plain
+# form of matroidkit's spike recognition, which reads the host's ranks in
+# its own labels.
+
+
+def is_spike_minors(m):
+    """A SpikeDecomposition of m, or None: every parallel class tried as
+    the tip set T, the rest paired by the rank-2 flats through T, then
+    every leg orientation until both transversals are circuits of M/T."""
+    from matroidkit import SpikeDecomposition, loops_mask, parallel_classes
+    from matroidkit.core import closure_mask
+
+    if m.size == 0 or loops_mask(m):
+        return None
+    classes = parallel_classes(m)
+    rm = m.full_rank()
+    for t_idx, tip_class in enumerate(classes):
+        if any(len(c) != 1 for i, c in enumerate(classes) if i != t_idx):
+            continue
+        t_mask = sum(1 << t for t in tip_class)
+        lines = {}
+        for e in range(m.size):
+            if (t_mask >> e) & 1:
+                continue
+            line = closure_mask(m, t_mask | (1 << e))
+            lines.setdefault(line & ~t_mask, []).append(e)
+        pairs = []
+        for outside, members in sorted(lines.items()):
+            if bin(outside).count("1") != 2 or len(members) != 2:
+                break
+            pairs.append(tuple(members))
+        else:
+            if pairs and rm == len(pairs):
+                legs = _orient_legs_walk(m, t_mask, pairs)
+                if legs is not None:
+                    return SpikeDecomposition(tuple(tip_class), legs, rm)
+    return None
+
+
+def _orient_legs_walk(m, t_mask: int, pairs):
+    """One leg per pair so both transversals are circuits of M/T, trying
+    every orientation with the first pair fixed."""
+    k, rt = len(pairs), m.r(t_mask)
+
+    def is_circuit(elems) -> bool:
+        mask = sum(1 << e for e in elems)
+        if m.r(mask | t_mask) - rt != len(elems) - 1:
+            return False
+        return all(m.r((mask ^ (1 << e)) | t_mask) - rt == len(elems) - 1
+                   for e in elems)
+
+    for choice in range(1 << (k - 1)):
+        legs = [pairs[0]] + [pairs[i][::-1] if (choice >> (i - 1)) & 1
+                             else pairs[i] for i in range(1, k)]
+        if is_circuit([a for a, _ in legs]) and is_circuit([b for _, b in legs]):
+            return tuple(legs)
+    return None
+
+
+def spike_split_minors(m, spike_elements, e):
+    """spike_split_witness by building m / e and testing is_spike_minors
+    on its restriction to every subset of E(S) - e of at least 7
+    elements; the first covering pair in mask order, in m's labels."""
+    from matroidkit import PreconditionError, minor_with_map, restriction
+
+    s_elems = sorted(set(spike_elements))
+    decomp = is_spike_minors(restriction(m, s_elems))
+    if decomp is None:
+        raise PreconditionError("the given set is not a spike restriction")
+    tips = {s_elems[i] for i in decomp.tips}
+    if m.r(1 << e) == 0 or e in tips \
+            or any(m.r((1 << e) | (1 << t)) == 1 for t in tips):
+        raise PreconditionError("e is a loop, a tip or parallel to a tip")
+    mc, keep = minor_with_map(m, [e], ())
+    pool = [keep.index(x) for x in s_elems if x != e]
+    goal = sum(1 << x for x in pool)
+    found = [sum(1 << x for x in sub)
+             for size in range(len(pool), 6, -1)
+             for sub in itertools.combinations(pool, size)
+             if is_spike_minors(restriction(mc, sub)) is not None]
+    for i, s1 in enumerate(found):
+        for s2 in found[i:]:
+            if s1 | s2 == goal:
+                return (tuple(keep[x] for x in range(mc.size) if s1 >> x & 1),
+                        tuple(keep[x] for x in range(mc.size) if s2 >> x & 1))
+    return None

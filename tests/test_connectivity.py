@@ -191,7 +191,7 @@ def test_vertical_connectivity_verdicts():
 
 def test_vertical_sweep_of_2_20_flats_fits_in_16_mib():
     """Every subset of uniform(20, 20) is a flat: the sweep indexes them as
-    int32 and keeps lambda in int16."""
+    int32 and reads lambda off the uint8 lambda table."""
     m = uniform(20, 20)
     rank_table(m)
     tracemalloc.start()

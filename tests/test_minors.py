@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
+    GroundSetError,
     Matroid,
     PreconditionError,
     ResourceLimitError,
@@ -21,6 +22,7 @@ from matroidkit import (
     fano,
     find_clique_minor,
     free_ext_clique,
+    free_extension,
     from_graph,
     from_matrix,
     has_minor,
@@ -29,6 +31,7 @@ from matroidkit import (
     membership_suite,
     minor_with_map,
     principal_extension,
+    rank_table,
     restriction,
     signed_graphic,
     spike,
@@ -45,7 +48,8 @@ from matroidkit.core import same_rank_function
 from matroidkit.minors import _clique_realization
 from matroidkit.representations import GraphRep, LinearRep
 from oracles import (certificate_walk, graph_rank, graphic_tree_search,
-                     is_clique, minor_brute)
+                     is_clique, is_spike_minors, minor_brute,
+                     spike_split_minors)
 from strategies import graph_reps, linear_reps, planted_reps
 
 
@@ -502,6 +506,83 @@ def test_spike_split_witness_preconditions():
     tip_twin = principal_extension(spike(4), [0])
     with pytest.raises(PreconditionError):
         spike_split_witness(tip_twin, range(9), 9)  # e parallel to the tip
+    for e in (9, 99, -1):  # e outside the ground set
+        with pytest.raises(GroundSetError):
+            spike_split_witness(spike(4), range(9), e)
+
+
+@st.composite
+def leg_reps(draw):
+    """(rep, leg elements): over GF(2) or GF(3), a tip t = e_k and k leg
+    pairs x_i, x_i + t, where x_1..x_{k-1} are unit vectors modulo t and
+    x_k is random, so the legs form a spike exactly when x_k has no zero
+    among its first k - 1 entries; plus up to two random columns off the
+    legs, all shuffled."""
+    p = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(3, 4))
+    entry = st.integers(0, p - 1)
+    xs = [tuple(int(i == j) for j in range(k - 1)) + (draw(entry),)
+          for i in range(k - 1)]
+    xs.append(draw(st.tuples(*[entry] * k)))
+    tip = (0,) * (k - 1) + (1,)
+    cols = [tip] + [c for x in xs for c in (x, x[:-1] + ((x[-1] + 1) % p,))]
+    cols += draw(st.lists(st.tuples(*[entry] * k), max_size=2))
+    order = draw(st.permutations(range(len(cols))))
+    rep = LinearRep(p, k, tuple(cols[i] for i in order))
+    return rep, [j for j, i in enumerate(order) if i <= 2 * k]
+
+
+@st.composite
+def spike_hosts(draw):
+    """(host, spike elements): spikes of rank 3-5, alone, summed with a
+    coloop or a parallel pair, or freely extended (a point on no leg's
+    line), the non-spikes clique(5) and U(3,7), and planted GF(2)/GF(3)
+    matrices, whose whole ground set is offered."""
+    kind = draw(st.sampled_from(("spike", "coloop", "pair", "free", "clique",
+                                 "uniform", "planted")))
+    if kind in ("spike", "coloop", "pair", "free"):
+        s = spike(draw(st.integers(3, 4 if kind == "free" else 5)))
+        host = {"spike": s, "coloop": direct_sum(s, uniform(1, 1)),
+                "pair": direct_sum(s, uniform(1, 2)),
+                "free": free_extension(s)}[kind]
+        return host, range(s.size)
+    if kind == "planted":
+        host = draw(planted_reps(max_cols=9)).matroid()
+    else:
+        host = clique(5) if kind == "clique" else uniform(3, 7)
+    return host, range(host.size)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError:
+        return PreconditionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(spike_hosts(),
+                 leg_reps().map(lambda rl: (rl[0].matroid(), rl[1]))),
+       st.data())
+def test_spike_reads_match_the_restriction_walk(host_elements, data):
+    host, elements = host_elements
+    e = data.draw(st.integers(0, host.size - 1), label="e")
+    assert is_spike(host) == is_spike_minors(host)
+    assert is_spike(restriction(host, elements)) == \
+        is_spike_minors(restriction(host, elements))
+    assert _outcome(spike_split_witness, host, elements, e) == \
+        _outcome(spike_split_minors, host, elements, e)
+
+
+def test_spike_split_on_a_tabled_host_never_calls_its_oracle():
+    host = direct_sum(spike(4), uniform(1, 1))
+    rank_table(host)
+    oracle, calls = host._rank_mask, []
+    host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+    assert is_spike(host) is None  # the coloop lies on no leg
+    assert spike_split_witness(host, range(9), 9) is not None
+    assert spike_split_witness(host, range(9), 1) is not None
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,9 @@ from matroidkit._bits import (CHOOSE_SPLIT, WORD, complement, elements_of,
                               members, or_up, pack, pack_masks,
                               popcount_table, spread, spread_at,
                               spread_choose, unpack)
-from matroidkit.core import Matroid, closure_mask
+from matroidkit.core import Matroid, closure_mask, lambda_table
 from matroidkit.representations import GraphRep, LinearRep
-from matroidkit.tangles import Tangle, _lambda_table, _separating, _under
+from matroidkit.tangles import Tangle, _separating, _under
 
 from oracles import (
     down_closure_flags,
@@ -56,6 +56,7 @@ from oracles import (
     kappa_brute,
     kappa_sweep,
     lam,
+    lambda_flags,
     least_kappa_witness,
     maximal_members_loop,
 )
@@ -127,6 +128,15 @@ def test_same_rank_function_matches_subset_loop(pair):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_matroids(), graph_matroids(),
+                 decorated_reps().map(lambda rep: rep.matroid())))
+def test_lambda_table_matches_the_oracle_walk(m):
+    got = lambda_table(rank_table(m))
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, lambda_flags(m))
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.one_of(linear_matroids(), graph_matroids()), st.data())
 def test_small_flags_match_per_member_definition(m, data):
     n = m.size
@@ -139,7 +149,7 @@ def test_small_flags_match_per_member_definition(m, data):
     for mx in maximal:
         under |= (idx & ~mx) == 0
     separating = np.array([lam(m, x) < theta - 1 for x in range(1 << n)])
-    small = _under(t) & _separating(_lambda_table(m)[0], theta)
+    small = _under(t) & _separating(lambda_table(rank_table(m)), theta)
     assert np.array_equal(unpack(small, n), separating & under)
 
 
