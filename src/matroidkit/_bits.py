@@ -90,6 +90,17 @@ def spread_at(base: int, weights: Iterable[int],
     return out
 
 
+def element_steps(masks: np.ndarray) -> Iterator[np.ndarray]:
+    """Walk the elements of many masks at once, in ascending order: step j
+    yields 1 + the j-th least element of each mask, or 0 where the mask
+    has fewer elements. Stops once every mask is used up."""
+    masks = masks.copy()
+    while masks.any():
+        low = masks & -masks
+        masks ^= low
+        yield np.frexp(low)[1]  # 2^e has exponent e + 1, and 0 has 0
+
+
 # A family of subsets of {0..n-1} is packed into max(1, 2^n / 64) uint64
 # words: subset x is bit x % 64 of word x // 64, so it takes 2^n / 8 bytes.
 # Below n = 6 the one word is partly filled and its high bits stay clear.

@@ -34,6 +34,9 @@ _CACHE_LIMIT = 1 << 20
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
 TABLE_CAP = 22
 
+# Masks validate_certificate builds and reads at a time.
+READ_BLOCK = 1 << 16
+
 # Scratch bytes one rank-table builder may allocate. A builder whose
 # workspace would exceed it returns None before allocating, and rank_table
 # walks the oracle instead.
@@ -146,7 +149,7 @@ class Matroid:
     """
 
     __slots__ = ("size", "full_mask", "_rank_mask", "_cache", "_full_rank",
-                 "_table", "provenance", "name")
+                 "_table", "_lambda", "provenance", "name")
 
     def __init__(self, size: int, rank_mask: Callable[[int], int],
                  provenance=None, name: str = ""):
@@ -156,6 +159,7 @@ class Matroid:
         self._cache: dict[int, int] = {}
         self._full_rank: Optional[int] = None
         self._table: Optional[np.ndarray] = None
+        self._lambda: Optional[np.ndarray] = None
         self.provenance = provenance
         self.name = name
 
@@ -408,10 +412,14 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     N = (host / C) | image has the target's rank and bases, so N is the
     target (Oxley, 1.2): r(C + image(X)) - r(C) = r(target) for X = E(target),
     and for each r(target)-subset X exactly when X is a target basis. That
-    is C(k, r(target)) + 2 reads through the host's own oracle (never a
-    representation of the minor or the host's table). A bijection is the
-    certificate with nothing contracted or deleted. A target over TABLE_CAP
-    elements raises ResourceLimitError from its rank table.
+    is C(k, r(target)) + 2 reads through the host's own oracle, never
+    through its table or its provenance, nor a representation of the
+    minor. The C(k, r(target)) reads go READ_BLOCK masks at a time, to the
+    oracle's batch form when it has one (representations give theirs as
+    the batch attribute of the oracle function), else one host.r call
+    each. A bijection is the certificate with nothing contracted or
+    deleted. A target over TABLE_CAP elements raises ResourceLimitError
+    from its rank table.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -434,9 +442,19 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
         return False
     # C + image(X) for every target subset X of size r(target)
     sized = spread_choose(0, [1 << t for t in range(target.size)], rt)
-    masks = spread_at(cmask, [1 << pairs[t] for t in range(target.size)], sized)
-    ranks = np.fromiter(map(host.r, masks.tolist()), np.int16, len(masks))
-    return np.array_equal(ranks == rc + rt, table[sized] == rt)
+    weights = [1 << pairs[t] for t in range(target.size)]
+    batch = getattr(host._rank_mask, "batch", None)
+    for lo in range(0, len(sized), READ_BLOCK):
+        block = sized[lo:lo + READ_BLOCK]
+        masks = spread_at(cmask, weights, block)
+        if batch is not None:
+            ranks = batch(masks)
+        else:
+            ranks = np.fromiter(map(host.r, map(int, masks)), np.int16,
+                                len(masks))
+        if not np.array_equal(ranks == rc + rt, table[block] == rt):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +528,16 @@ def lambda_table(t: np.ndarray) -> np.ndarray:
     lam = t + t[::-1]
     lam -= t[-1]
     return lam
+
+
+def lambda_of(m: Matroid) -> np.ndarray:
+    """lambda_table of m's rank table, built at most once per matroid,
+    cached on it and returned read-only, as the table is."""
+    if m._lambda is None:
+        lam = lambda_table(rank_table(m))
+        lam.setflags(write=False)
+        m._lambda = lam
+    return m._lambda
 
 
 def validate_rank_axioms(m: Matroid) -> None:

@@ -63,10 +63,12 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
 
     m's ranks are read from its rank table when it is cached or m's
     provenance builds it, else from m's oracle. With validate, every
-    certificate is checked against m's own oracle before it is returned;
-    a found certificate whose target has more than TABLE_CAP elements
-    raises ResourceLimitError instead. A host over MINOR_SIZE_CAP elements
-    raises ResourceLimitError before the search starts.
+    certificate is checked against m's own oracle before it is returned,
+    in the oracle's batch form when it has one, never through m's table
+    or provenance (see validate_certificate); a found certificate whose
+    target has more than TABLE_CAP elements raises ResourceLimitError
+    instead. A host over MINOR_SIZE_CAP elements raises
+    ResourceLimitError before the search starts.
     """
     if m.size > MINOR_SIZE_CAP:
         raise ResourceLimitError(f"minor search over {m.size} elements "

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import bits, find, mask_of, union
+from ._bits import bits, element_steps, find, mask_of, union
 from .core import TABLE_BUDGET, Matroid, check_size, rank_table
 from .errors import DomainError, GroundSetError
 
@@ -40,7 +40,15 @@ def _unpack(packed: Iterable[int], n_rows: int) -> tuple[tuple[int, ...], ...]:
 
 def _gf2_rank(packed: tuple[int, ...]):
     """Rank oracle of GF(2) columns packed into ints, by elimination on
-    their leading bits."""
+    their leading bits.
+
+    The oracle's batch attribute ranks an array of masks at once: each
+    mask's columns, as uint64, are reduced in turn against the ones it
+    kept so far by v = min(v, v ^ b), which clears b's leading bit from v.
+    A kept v has no leading bit of an earlier one, so one pass in keeping
+    order reduces fully. Columns past 64 bits are ranked one mask at a
+    time.
+    """
 
     def rank_mask(mask: int) -> int:
         lead: dict[int, int] = {}
@@ -57,6 +65,22 @@ def _gf2_rank(packed: tuple[int, ...]):
                 v ^= w
         return r
 
+    def rank_masks(masks: np.ndarray) -> np.ndarray:
+        if max(packed, default=0) >> 64:
+            return np.fromiter(map(rank_mask, masks.tolist()), np.uint8,
+                               len(masks))
+        cols = np.array((0, *packed), dtype=np.uint64)  # 1 + e is column e
+        rank = np.zeros(len(masks), dtype=np.uint8)
+        kept: list[np.ndarray] = []
+        for step in element_steps(masks):
+            v = cols[step]
+            for b in kept:
+                np.minimum(v, v ^ b, out=v)
+            rank += v != 0
+            kept.append(v)
+        return rank
+
+    rank_mask.batch = rank_masks
     return rank_mask
 
 
@@ -108,6 +132,33 @@ class LinearRep:
                         pivots.append((h, [(x * iv) % p for x in v]))
                         r += 1
                 return r
+
+            def rank_masks(masks: np.ndarray) -> np.ndarray:
+                """The same elimination over an array of masks, each
+                column a uint8 vector scaled to 1 at its pivot, the
+                first nonzero entry."""
+                rank = np.zeros(len(masks), dtype=np.uint8)
+                if nr == 0:  # every set has rank 0, and no entry to pivot at
+                    return rank
+                vecs = np.zeros((len(cols) + 1, nr), dtype=np.uint8)
+                vecs[1:] = np.reshape(cols, (-1, nr))  # 1 + e is column e
+                inv_p = np.array(inv, dtype=np.uint8)
+                rows = np.arange(len(masks))
+                pivots: list[tuple[np.ndarray, np.ndarray]] = []
+                for step in element_steps(masks):
+                    v = vecs[step]
+                    for prow, pvec in pivots:
+                        # v - c * pvec = v + (p - c) * pvec, at most 48
+                        v += (p - v[rows, prow])[:, None] * pvec
+                        v %= p
+                    h = (v != 0).argmax(axis=1)
+                    rank += v[rows, h] != 0
+                    v *= inv_p[v[rows, h]][:, None]  # a dead v stays 0
+                    v %= p
+                    pivots.append((h, v))
+                return rank
+
+            rank_mask.batch = rank_masks
 
         return Matroid(len(self.columns), rank_mask, provenance=self, name=name)
 

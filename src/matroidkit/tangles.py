@@ -12,7 +12,9 @@ Every family of subsets a check reads (the separating sets, T_k, a
 tangle's members) is a packed bitset from _bits: bit x of uint64 words is
 subset x, so a family on n elements takes 2^n/8 bytes, and downward
 closure, complements and maximal members take one word pass per element.
-lambda is a uint8 table, one byte per subset.
+lambda is a uint8 table, one byte per subset, built once per matroid from
+its own rank table (core.lambda_of), so a T_k check and the is_tangle
+replay of it share one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from ._bits import (complement, first_member, has_member, maximal_family,
                     members, or_up, pack, pack_masks, popcount,
                     popcount_table, spread, unpack)
-from .core import (Matroid, MinorCertificate, lambda_table, rank_table,
+from .core import (Matroid, MinorCertificate, lambda_of, rank_table,
                    validate_rank_axioms)
 from .connectivity import connectivity_mask
 from .errors import DomainError, PreconditionError
@@ -120,7 +122,7 @@ def is_tangle(m: Matroid, family: Union["Tangle", Iterable[int]],
     family is either an iterable of masks (taken literally) or a Tangle,
     whose full membership is expanded from its maximal members.
     """
-    lam = lambda_table(rank_table(m))  # refuses an oversized m first
+    lam = lambda_of(m)  # refuses an oversized m first
     sep = _separating(lam, theta)
     if isinstance(family, Tangle):
         if family.matroid is not m:
@@ -146,7 +148,7 @@ def tangle_tk(m: Matroid, k: int) -> Union[Tangle, TangleCheck]:
     if k < 1:
         raise DomainError("tangle order must be positive")
     ranks = rank_table(m)
-    lam = lambda_table(ranks)
+    lam = lambda_of(m)
     sep = _separating(lam, k)
     # neither spanning (r(X) < r) nor cospanning (E-X must be dependent)
     dependent = pack(ranks < popcount_table(m.size))
@@ -171,7 +173,7 @@ def tangle_matroid(t: Tangle) -> Matroid:
     element. The rank axioms are checked exhaustively when |E| <= 12.
     """
     m = t.matroid
-    lam = lambda_table(rank_table(m))
+    lam = lambda_of(m)
     small = unpack(_under(t) & _separating(lam, t.theta), m.size)
     table = np.where(small, lam, t.theta - 1).astype(np.uint8, copy=False)
     for e in range(m.size):
@@ -200,9 +202,9 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     if not cert.validate(m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
-    sep = _separating(lambda_table(rank_table(m)), theta)
+    sep = _separating(lambda_of(m), theta)
     small_n = unpack(
-        _under(t_n) & _separating(lambda_table(rank_table(target)), theta),
+        _under(t_n) & _separating(lambda_of(target), theta),
         target.size)
     weight = [0] * m.size  # host element h carries target bit weight[h]
     for t_elem, h_elem in cert.mapping:

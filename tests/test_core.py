@@ -271,6 +271,32 @@ def test_certificate_workspace_grows_with_the_bases_not_the_subsets():
     assert peak < 4 << 20
 
 
+def test_certificate_on_a_scalar_oracle_keeps_no_list_of_its_bases():
+    # clique(7) through a plain function has no batch form, so its
+    # C(21, 6) = 54,264 bases go to host.r one call each; a Python list of
+    # them all would take about 2 MiB on its own
+    inner = clique(7)
+    host = Matroid(21, lambda mask: inner._rank_mask(mask))
+    target = clique(7)
+    rank_table(target)
+    cert = _identity(host)
+    assert validate_certificate(cert, host, target)  # fills host.r's memo
+    tracemalloc.start()
+    try:
+        assert validate_certificate(cert, host, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 19
+
+
+def test_certificate_on_a_represented_host_reads_only_two_ranks_one_by_one():
+    # the bases of clique(7) go to the batch form of the host's oracle
+    host = clique(7)
+    assert validate_certificate(_identity(host), host, clique(7))
+    assert sorted(host._cache) == [0, host.full_mask]
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 64])
 def test_certificate_naming_a_host_element_out_of_range_is_rejected(bad):
     cert = MinorCertificate(frozenset(), frozenset(),

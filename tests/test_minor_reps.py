@@ -9,8 +9,11 @@ oracles.certificate_walk is the reference it must agree with.
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from matroidkit._bits import mask_of, spread_choose
 from matroidkit.constructions import free_extension, truncation
 from matroidkit.core import (
     Matroid,
@@ -27,7 +30,7 @@ from matroidkit.representations import (
 )
 
 from oracles import certificate_walk
-from strategies import graph_reps, linear_reps
+from strategies import graph_reps, linear_reps, planted_reps
 
 
 @st.composite
@@ -136,15 +139,22 @@ RECIPES = {"none": lambda m: m, "dual": dual, "truncation": truncation,
 
 @st.composite
 def certificate_hosts(draw):
-    """A represented matroid or a recipe over one, as built or as its
-    bare-oracle twin, with a split of its elements."""
+    """A represented matroid or a recipe over one, as built, as its
+    bare-oracle twin, or as its plain-function twin, with a split of its
+    elements. The bare twin keeps the oracle function, and with it the
+    batch form a representation's oracle carries; the plain twin reads
+    the same ranks one call at a time."""
     rep = draw(st.one_of(linear_reps(), graph_reps(), decorated_reps()))
     host = rep.matroid()
     recipe = draw(st.sampled_from(sorted(RECIPES)))
     assume(recipe != "truncation" or host.full_rank() > 0)
     host = RECIPES[recipe](host)
-    if draw(st.booleans()):
+    twin = draw(st.sampled_from(("built", "bare", "plain")))
+    if twin == "bare":
         host = Matroid(host.size, host._rank_mask)
+    elif twin == "plain":
+        oracle = host._rank_mask
+        host = Matroid(host.size, lambda mask: oracle(mask))
     return host, draw(splits(host.size))
 
 
@@ -162,6 +172,77 @@ def test_validate_certificate_agrees_with_subset_walk(case, seed):
         bad = _perturb(cert, rng)
         assert validate_certificate(bad, host, target) == \
             certificate_walk(bad, host, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_split(st.one_of(linear_reps(), planted_reps(), graph_reps(),
+                            decorated_reps())))
+def test_validation_on_a_represented_host_reads_its_bases_in_batch(case):
+    # host.r is called for r(C) and r(C + image) only; the bases go to
+    # the batch form of the host's oracle, which never fills the memo
+    rep, (contract, delete) = case
+    host = rep.matroid()
+    target, keep = minor_with_map(host, contract, delete)
+    cert = MinorCertificate(frozenset(contract), frozenset(delete),
+                            tuple(enumerate(keep)))
+    assert validate_certificate(cert, host, target)
+    cmask = mask_of(contract)
+    assert set(host._cache) <= {cmask, cmask | mask_of(keep)}
+
+
+def _batch_agrees(m, masks):
+    got = m._rank_mask.batch(masks)
+    assert got.tolist() == [m._rank_mask(x) for x in masks.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(linear_reps(), planted_reps(primes=(3,)), graph_reps(),
+                 decorated_reps()), st.data())
+def test_batch_rank_agrees_with_the_scalar_oracle(rep, data):
+    # every mask of one popcount, as validate_certificate reads them
+    m = rep.matroid()
+    k = data.draw(st.integers(0, m.size))
+    _batch_agrees(m, spread_choose(0, [1 << e for e in range(m.size)], k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batch_rank_of_a_matrix_with_no_rows(p):
+    m = LinearRep(p, 0, ((),) * 6).matroid()
+    masks = spread_choose(0, [1 << e for e in range(6)], 3)
+    assert not m._rank_mask.batch(masks).any()
+    _batch_agrees(m, masks)
+
+
+def _graph_40():
+    # clique(9) (36 edges) plus four edges at a tenth vertex, one of them a
+    # loop: 40 elements
+    return tuple((u, v) for u in range(9) for v in range(u + 1, 9)) + \
+        ((0, 9), (3, 9), (9, 9), (5, 9))
+
+
+def _random_rep(p, rows, seed):
+    rng = random.Random(seed)
+    return LinearRep(p, rows, tuple(tuple(rng.randrange(p) for _ in range(rows))
+                                    for _ in range(40)))
+
+
+@pytest.mark.parametrize("rep", [
+    _random_rep(2, 7, 1),
+    _random_rep(3, 6, 2),
+    GraphRep(10, _graph_40()),
+    EvenCycleRep(10, _graph_40(), frozenset(range(0, 40, 3))),
+    SignedGraphRep(10, _graph_40(), frozenset(range(0, 40, 3))),
+    # 26 disjoint edges and 14 loops touch 66 vertices, so no uint64
+    # holds a column
+    GraphRep(80, tuple((2 * i, 2 * i + (i % 3 > 0)) for i in range(40))),
+], ids=["gf2", "gf3", "graph", "even-cycle", "signed", "matching"])
+def test_batch_rank_on_a_host_over_31_elements(rep):
+    # masks of one popcount that reach past bit 31, as uint64
+    rng = random.Random(7)
+    masks = np.array([mask_of(rng.sample(range(40), 7)) for _ in range(500)],
+                     dtype=np.uint64)
+    assert int(masks.max()) >> 31
+    _batch_agrees(rep.matroid(), masks)
 
 
 def test_validation_reads_the_hosts_own_oracle():
