@@ -90,6 +90,27 @@ def spread_at(base: int, weights: Iterable[int],
     return out
 
 
+def subset_sums(g: np.ndarray) -> np.ndarray:
+    """g[T] becomes the sum of g[S] over the subsets S of T, in place, one
+    pass per element, and g is returned; g has length 2^n and no sum may
+    overflow its dtype. A pass whose blocks of 2^e entries span at most 8
+    bytes adds them as one wider unsigned int, as no lane carries, and up
+    to 32 bytes as uint64 columns, so no pass loops over short rows."""
+    for e in range(g.size.bit_length() - 1):
+        span = g.itemsize << e
+        if span <= 8:
+            v = g.view(f"u{span}").reshape(-1, 2)
+            v[:, 1] += v[:, 0]
+        elif span <= 32:
+            v = g.view(np.uint64).reshape(-1, 2, span // 8)
+            for s in range(span // 8):
+                v[:, 1, s] += v[:, 0, s]
+        else:
+            v = g.reshape(-1, 2, 1 << e)
+            v[:, 1] += v[:, 0]
+    return g
+
+
 def element_steps(masks: np.ndarray) -> Iterator[np.ndarray]:
     """Walk the elements of many masks at once, in ascending order: step j
     yields 1 + the j-th least element of each mask, or 0 where the mask

@@ -37,6 +37,10 @@ TABLE_CAP = 22
 # Masks validate_certificate builds and reads at a time.
 READ_BLOCK = 1 << 16
 
+# A block of fewer masks goes to the scalar oracle even when it has a batch
+# form, whose fixed numpy cost outweighs that many scalar reads.
+BATCH_MIN = 32
+
 # Scratch bytes one rank-table builder may allocate. A builder whose
 # workspace would exceed it returns None before allocating, and rank_table
 # walks the oracle instead.
@@ -416,10 +420,12 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     through its table or its provenance, nor a representation of the
     minor. The C(k, r(target)) reads go READ_BLOCK masks at a time, to the
     oracle's batch form when it has one (representations give theirs as
-    the batch attribute of the oracle function), else one host.r call
-    each. A bijection is the certificate with nothing contracted or
-    deleted. A target over TABLE_CAP elements raises ResourceLimitError
-    from its rank table.
+    the batch attribute of the oracle function) and the block has at least
+    BATCH_MIN masks, else one call each: to that oracle, around host.r's
+    memo, when it has a batch form, and to host.r when it has none. A
+    bijection is the certificate with nothing contracted or deleted. A
+    target over TABLE_CAP elements raises ResourceLimitError from its rank
+    table.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -444,13 +450,15 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     sized = spread_choose(0, [1 << t for t in range(target.size)], rt)
     weights = [1 << pairs[t] for t in range(target.size)]
     batch = getattr(host._rank_mask, "batch", None)
+    # an oracle with a batch form is read around the memo, even one by one
+    scalar = host.r if batch is None else host._rank_mask
     for lo in range(0, len(sized), READ_BLOCK):
         block = sized[lo:lo + READ_BLOCK]
         masks = spread_at(cmask, weights, block)
-        if batch is not None:
+        if batch is not None and len(masks) >= BATCH_MIN:
             ranks = batch(masks)
         else:
-            ranks = np.fromiter(map(host.r, map(int, masks)), np.int16,
+            ranks = np.fromiter(map(scalar, map(int, masks)), np.int16,
                                 len(masks))
         if not np.array_equal(ranks == rc + rt, table[block] == rt):
             return False
@@ -473,11 +481,13 @@ def rank_table(m: Matroid) -> np.ndarray:
 
     The table is built at most once per matroid, cached on it and returned
     read-only, so it costs 2^n bytes for as long as the matroid lives.
-    Every provenance kind builds it with a few numpy passes: GF(p)
-    matrices by a doubling DP over the elements, graphs and decorated
-    graphs through their GF(2) or GF(3) incidence matrix over the vertices
-    their edges touch, recipes by array transforms of their operands'
-    tables.
+    Every provenance kind builds it with a few numpy passes: odd-prime
+    matrices from a histogram of their codewords' supports when there are
+    at most 2^n codewords to count (always over GF(3), so GF(3) never
+    declines up to TABLE_CAP), other GF(p) matrices by a doubling DP over
+    the elements, graphs and decorated graphs through their GF(2) or GF(3)
+    incidence matrix over the vertices their edges touch, recipes by array
+    transforms of their operands' tables.
     A matroid with no provenance, a recipe over one, or a builder whose
     workspace would exceed TABLE_BUDGET bytes walks the oracle once per
     subset instead.

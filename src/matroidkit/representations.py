@@ -10,15 +10,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import bits, element_steps, find, mask_of, union
+from ._bits import (bits, element_steps, find, mask_of, popcount_table,
+                    subset_sums, union)
 from .core import TABLE_BUDGET, Matroid, check_size, rank_table
 from .errors import DomainError, GroundSetError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
+
+# Bytes of support flags one step of the codeword enumeration compares.
+_WORD_BLOCK = 1 << 22
 
 
 def _inverses(p: int) -> list[int]:
@@ -84,6 +89,89 @@ def _gf2_rank(packed: tuple[int, ...]):
     return rank_mask
 
 
+def _code_basis(rows: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
+    """A basis of the row space C of a GF(p) matrix with m columns, or of
+    its dual code when dim C > m / 2, and whether it is the dual's: the
+    rows reduced to [I | A] (columns permuted), else [A^T | I] in the same
+    columns. The dual code is the row space of [-A^T | I]; negating the
+    pivot columns changes no word's support. The elimination runs on
+    Python lists, which beat numpy calls on the small matrices most tables
+    come from."""
+    a = rows.tolist()
+    n_rows, m = rows.shape
+    inv = _inverses(p)
+    piv: list[int] = []
+    for j in range(m):
+        r = len(piv)
+        if r == n_rows:
+            break
+        i = next((i for i in range(r, n_rows) if a[i][j]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        c = inv[a[r][j]]
+        top = a[r] = [x * c % p for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and (c := row[j]):
+                a[i] = [(x - c * y) % p for x, y in zip(row, top)]
+        piv.append(j)
+    r = len(piv)
+    reduced = np.array(a[:r], dtype=np.uint8).reshape(r, m)
+    if 2 * r <= m:
+        return reduced, False
+    free = [j for j in range(m) if j not in piv]
+    dual = np.zeros((m - r, m), dtype=np.uint8)
+    dual[:, piv] = reduced[:, free].T
+    dual[range(m - r), free] = 1
+    return dual, True
+
+
+def _span(basis: np.ndarray, p: int) -> np.ndarray:
+    """The p^k words of k GF(p) basis rows, one per row of a uint8 array."""
+    words = np.zeros((1, basis.shape[1]), dtype=np.uint8)
+    scale = np.arange(p, dtype=np.uint8)[:, None, None]
+    for b in basis:
+        words = ((words + scale * b) % p).reshape(-1, basis.shape[1])
+    return words
+
+
+def _support_table(basis: np.ndarray, p: int, dual: bool) -> np.ndarray:
+    """The rank table read off the supports of the words basis spans: k
+    rows of a matrix when dual is False, so r(S) = k - log_p of the words
+    vanishing on S, else of its dual code, so r(T) = |T| - log_p of the
+    words with support inside T.
+
+    Each word is a - b once, a in the span of one half of the basis and b
+    in the other's, and it is nonzero at column j exactly when a_j != b_j,
+    so one broadcast comparison of the two spans gives a block of
+    supports, _WORD_BLOCK bytes at a time. g counts the supports, and
+    subset sums turn g[T] into the words with support inside T."""
+    k, m = basis.shape
+    words = p ** k
+    g = np.zeros(1 << m, dtype=np.min_scalar_type(words))
+    one = g.dtype.type(1)
+    first, second = _span(basis[k // 2:], p), _span(basis[:k // 2], p)
+    # a word takes m bytes of flags, m / 8 packed and 8 as an index; a
+    # block takes at most four times the table's bytes, as the DP's state
+    step = max(1, min(_WORD_BLOCK, 4 << m) // (len(second) * (m + 16)))
+    for lo in range(0, len(first), step):
+        differ = first[lo:lo + step, None, :] != second
+        packed = np.packbits(differ, axis=-1, bitorder="little")
+        support = np.zeros(packed.shape[:2] + (8,), dtype=np.uint8)
+        support[..., :packed.shape[2]] = packed
+        np.add.at(g, support.view(np.int64).ravel(), one)
+    subset_sums(g)
+    exponent = np.arange(k + 1)
+    lookup = np.zeros(words + 1, dtype=np.uint8)
+    if dual:
+        lookup[p ** exponent] = exponent
+        table = popcount_table(m)
+        table -= lookup[g]
+        return table
+    lookup[p ** exponent] = k - exponent
+    return lookup[g[::-1]]  # the words vanishing on S have support in E - S
+
+
 # ---------------------------------------------------------------------------
 # linear representations
 
@@ -101,11 +189,14 @@ class LinearRep:
             raise DomainError(f"prime must be one of {SUPPORTED_PRIMES}")
         if not _is_int(self.n_rows) or self.n_rows < 0:
             raise DomainError("n_rows must be a non-negative integer")
-        for col in self.columns:
-            if len(col) != self.n_rows:
-                raise DomainError("ragged matrix")
-            if any(not (_is_int(x) and 0 <= x < self.prime) for x in col):
-                raise DomainError("entries must be integers reduced mod p")
+        if set(map(len, self.columns)) - {self.n_rows}:
+            raise DomainError("ragged matrix")
+        # two passes in C over the entries: their types, then their values
+        flat = chain.from_iterable
+        kinds = set(map(type, flat(self.columns)))
+        if (any(not issubclass(t, int) or issubclass(t, bool) for t in kinds)
+                or not set(flat(self.columns)) <= set(range(self.prime))):
+            raise DomainError("entries must be integers reduced mod p")
 
     def matroid(self, name: str = "") -> Matroid:
         if self.prime == 2:
@@ -163,18 +254,49 @@ class LinearRep:
         return Matroid(len(self.columns), rank_mask, provenance=self, name=name)
 
     def rank_table_fast(self) -> Optional[np.ndarray]:
-        """Rank of every column subset by doubling over the columns.
+        """Rank of every column subset, from codeword supports over an odd
+        prime and by doubling over the columns otherwise.
 
-        Before step i, row x of the state holds columns i..m-1 reduced
-        modulo span(x), x a subset of columns 0..i-1, each as the coset
-        representative that is zero at every pivot. Step i reads w, column
-        i reduced: subsets with i gain rank where w != 0, and their rows
-        are the remaining columns reduced by w, pivoting at w's lowest set
-        bit over GF(2) (columns packed into one unsigned int) and at its
-        first nonzero entry over GF(p) (columns as uint8 vectors).
+        Over GF(p), p odd, the combinations of a matrix's n rows whose word
+        vanishes on S number p^(n - r(S)), and the words of its dual code
+        (the vectors orthogonal to every row, m - r of them independent)
+        with support inside T number p^(|T| - r(T)) (Greene 1976). So one
+        histogram of word supports and one subset-sum pass per column give
+        every rank. The words come from the matrix's own rows when there
+        are at most m / 2 of them and p^n <= 2^m; else from its rows
+        reduced to [I | A], of rank r, or from the dual code's basis
+        [-A^T | I] when 2r > m.
+        That is p^k words, k = min(r, m - r), and this path is taken
+        whenever p^k <= 2^m: always over GF(3), so GF(3) builds every
+        table up to TABLE_CAP.
+
+        Otherwise (GF(2), and GF(5)/GF(7) with more words than subsets)
+        the table doubles over the columns. Before step i, row x of the
+        state holds columns i..m-1 reduced modulo span(x), x a subset of
+        columns 0..i-1, each as the coset representative that is zero at
+        every pivot. Step i reads w, column i reduced: subsets with i gain
+        rank where w != 0, and their rows are the remaining columns reduced
+        by w, pivoting at w's lowest set bit over GF(2) (columns packed
+        into one unsigned int) and at its first nonzero entry over GF(p)
+        (columns as uint8 vectors).
+
+        Either path returns None, before allocating, when its workspace
+        would exceed TABLE_BUDGET bytes.
         """
         m = len(self.columns)
         p, nr = self.prime, self.n_rows
+        if p != 2:
+            basis = np.reshape(self.columns, (m, nr)).T.astype(np.uint8)
+            dual = False
+            if 2 * nr > m or p ** nr > 1 << m:
+                basis, dual = _code_basis(basis, p)
+            words = p ** len(basis)
+            if words <= 1 << m:
+                count = np.min_scalar_type(words).itemsize
+                # counts, table, exponent lookup, one temporary; one block
+                if (1 << m) * (3 + count) + _WORD_BLOCK > TABLE_BUDGET:
+                    return None
+                return _support_table(basis, p, dual)
         packed = p == 2 and nr <= 64
         if packed:
             dtype = np.min_scalar_type((1 << nr) - 1)

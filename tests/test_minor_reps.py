@@ -27,6 +27,7 @@ from matroidkit.representations import (
     GraphRep,
     LinearRep,
     SignedGraphRep,
+    from_matrix,
 )
 
 from oracles import certificate_walk
@@ -179,7 +180,8 @@ def test_validate_certificate_agrees_with_subset_walk(case, seed):
                             decorated_reps())))
 def test_validation_on_a_represented_host_reads_its_bases_in_batch(case):
     # host.r is called for r(C) and r(C + image) only; the bases go to
-    # the batch form of the host's oracle, which never fills the memo
+    # the host's oracle around the memo, to its batch form from BATCH_MIN
+    # of them on
     rep, (contract, delete) = case
     host = rep.matroid()
     target, keep = minor_with_map(host, contract, delete)
@@ -188,6 +190,29 @@ def test_validation_on_a_represented_host_reads_its_bases_in_batch(case):
     assert validate_certificate(cert, host, target)
     cmask = mask_of(contract)
     assert set(host._cache) <= {cmask, cmask | mask_of(keep)}
+
+
+@pytest.mark.parametrize("rows, prime, delete, batches", [
+    # U(2,4) in a 6-element GF(3) host: 6 bases, one scalar read each
+    ([[1, 0, 1, 1, 1, 0], [0, 1, 1, 2, 0, 1]], 3, (4, 5), []),
+    # F7 in a 10-element binary host: 35 bases, one batch
+    ([[1, 0, 0, 1, 1, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1, 0, 1, 1],
+      [0, 0, 1, 0, 1, 1, 1, 1, 1, 0]], 2, (7, 8, 9), [35]),
+])
+def test_blocks_under_batch_min_skip_the_batch_form(rows, prime, delete,
+                                                     batches):
+    host = from_matrix(rows, prime)
+    batch = host._rank_mask.batch
+    calls = []
+    host._rank_mask.batch = lambda masks: calls.append(len(masks)) or batch(
+        masks)
+    target, keep = minor_with_map(host, (), delete)
+    cert = MinorCertificate(frozenset(), frozenset(delete),
+                            tuple(enumerate(keep)))
+    assert validate_certificate(cert, host, target)
+    assert calls == batches
+    assert set(host._cache) <= {0, mask_of(keep)}
+    assert certificate_walk(cert, host, target)
 
 
 def _batch_agrees(m, masks):

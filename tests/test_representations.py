@@ -102,6 +102,7 @@ def test_from_matrix_rejects_bad_prime():
     (True, ((1,),)),               # nor a bool
     (2, ((1, 0), (0.0, 1))),       # float entry
     (2, ((1, 0), (True, 1))),      # bool entry
+    (2, ((1, 0), (np.int64(0), 1))),  # numpy integer entry
     (2, ((1, 0), (0, 2))),         # not reduced mod 2
     (2, ((1, 0), (0, -1))),
     (2, ((1, 0), (1,))),           # ragged

@@ -1,10 +1,13 @@
 """Differential tests: the cached rank-table paths against plain oracles.
 
-Each fast path (the doubling DP for GF(p) tables, which graphs and
-decorated graphs reach through their incidence matrix over the vertices
-their edges touch, the array transforms for recipe tables, table equality in
-same_rank_function, the subset-closure sweep in tangle membership) is
-compared with the subset-by-subset definition it replaces. The mask
+Each fast path (the codeword-support table for odd-prime matrices and
+its subset sums, the doubling DP for the other GF(p) tables, which graphs
+and decorated graphs reach through their incidence matrix over the
+vertices their edges touch, the array transforms for recipe tables, table
+equality in same_rank_function, the subset-closure sweep in tangle
+membership) is compared with the subset-by-subset definition it replaces.
+The codeword enumeration's subset sums are compared with the sum over
+subsets at every dtype they run on. The mask
 families these sweeps read come from _bits.spread, which is compared with
 the bit-by-bit shift form, _bits.spread_choose with spread's masks of
 one size, and _bits.spread_at with the shift form. The packed family
@@ -22,7 +25,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matroidkit import (
     clique,
@@ -44,8 +47,8 @@ from matroidkit._bits import (CHOOSE_SPLIT, WORD, complement, elements_of,
                               first_member, has_member, maximal_family,
                               members, or_up, pack, pack_masks,
                               popcount_table, spread, spread_at,
-                              spread_choose, unpack)
-from matroidkit.core import Matroid, closure_mask, lambda_table
+                              spread_choose, subset_sums, unpack)
+from matroidkit.core import TABLE_BUDGET, Matroid, closure_mask, lambda_table
 from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _separating, _under
 
@@ -60,6 +63,7 @@ from oracles import (
     least_kappa_witness,
     maximal_members_loop,
 )
+from strategies import planted_reps
 from test_minor_reps import decorated_reps
 from test_properties import graph_matroids, linear_matroids
 
@@ -207,9 +211,28 @@ def dependent_linear_reps(draw, max_cols=10):
     return LinearRep(p, nr, tuple(cols))
 
 
+def _unit_columns(n):
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
 @settings(max_examples=150, deadline=None)
-@given(dependent_linear_reps())
+@given(st.one_of(dependent_linear_reps(), planted_reps()))
+# the support table over the matrix's own rows: 7^3 <= 2^10
+@example(LinearRep(7, 3, tuple((1, j % 7, j * j % 7) for j in range(10))))
+# over its row-reduced rows: 6 rows of rank 3 on 8 columns
+@example(LinearRep(3, 6, tuple(
+    (x, y, z, x, (x + y) % 3, z) for x, y, z in
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 1), (0, 1, 2),
+     (2, 2, 2), (1, 0, 0)])))
+# over the dual code: rank 5 on 7 columns, so its basis has 2 rows
+@example(LinearRep(3, 5, _unit_columns(5) + ((1, 1, 1, 1, 1),
+                                                (1, 2, 0, 1, 2))))
+# the doubling DP: rank 5 on 10 columns, 7^5 > 2^10
+@example(LinearRep(7, 5, _unit_columns(5) + tuple(
+    tuple((j + 1) ** i % 7 for i in range(5)) for j in range(5))))
 def test_linear_table_dp_matches_elimination_on_every_mask(rep):
+    # every path of LinearRep.rank_table_fast: the codeword-support table
+    # (odd primes, p^k <= 2^m) and the doubling DP (the rest)
     table = rep.rank_table_fast()
     assert table.dtype == np.uint8
     cols = rep.columns
@@ -330,10 +353,12 @@ def test_recipe_over_a_bare_operand_walks_only_its_own_oracle():
 def test_graph_table_budget_declines_before_allocating():
     # A graph builds its table through its GF(2) incidence matrix: 22 edges
     # touch at most 44 rows, packed into uint64, so 2^22 x 25 B stays under
-    # TABLE_BUDGET. A GF(3) matrix of 12 rows and 22 columns needs
-    # 2^22 x 37 B and must decline without allocating.
-    wide = LinearRep(3, 12, tuple(tuple(int(i == j % 12) for i in range(12))
-                                  for j in range(22)))
+    # TABLE_BUDGET. A GF(7) matrix of rank 11 on 22 columns has 7^11 > 2^22
+    # codewords, so it takes the doubling DP, which needs 2^22 x 34 B, and
+    # must decline without allocating.
+    wide = LinearRep(7, 11, tuple(
+        tuple((1 + j // 11) * (i == j % 11) for i in range(11))
+        for j in range(22)))
     tracemalloc.start()
     try:
         assert wide.rank_table_fast() is None
@@ -343,6 +368,38 @@ def test_graph_table_budget_declines_before_allocating():
     assert peak < 1 << 16
     table = clique(7).provenance.rank_table_fast()  # 21 edges, 7 vertices
     assert table is not None and table[-1] == 6
+
+
+def test_support_table_budget_declines_before_allocating():
+    # one GF(3) row on 25 columns: 3 codewords, but the counts, the table,
+    # the exponent lookup and a temporary take 2^25 x 4 B > TABLE_BUDGET
+    wide = LinearRep(3, 1, ((1,),) * 25)
+    tracemalloc.start()
+    try:
+        assert wide.rank_table_fast() is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("n_rows", [11, 14, 22])
+def test_gf3_tables_build_at_22_columns(n_rows):
+    # the support table has at most 3^11 codewords to count, so GF(3)
+    # builds at every shape up to TABLE_CAP, within TABLE_BUDGET
+    rng = random.Random(n_rows)
+    rep = LinearRep(3, n_rows, tuple(
+        tuple(rng.randrange(3) for _ in range(n_rows)) for _ in range(22)))
+    tracemalloc.start()
+    try:
+        table = rep.rank_table_fast()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table is not None and peak < TABLE_BUDGET
+    oracle = rep.matroid()._rank_mask
+    for mask in (rng.getrandbits(22) for _ in range(3000)):
+        assert table[mask] == oracle(mask)
 
 
 def test_graph_rank_cost_does_not_depend_on_n_vertices():
@@ -459,6 +516,19 @@ def test_spread_ascends_over_single_bits_that_miss_the_base(base, positions):
     weights = [1 << p for p in sorted(positions) if not (base >> p) & 1]
     out = spread(base, weights).tolist()
     assert all(a < b for a, b in zip(out, out[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((np.uint8, np.uint16, np.uint32)), st.integers(0, 8),
+       st.data())
+def test_subset_sums_match_the_sum_over_subsets(dtype, n, data):
+    # n = 8 reaches every pass kind at every dtype: wide ints, uint64
+    # columns and plain rows; the counts stay small enough not to overflow
+    g = np.array(data.draw(st.lists(st.integers(0, 255 >> n), min_size=1 << n,
+                                    max_size=1 << n)), dtype=dtype)
+    expected = [sum(int(g[s]) for s in range(t + 1) if s & ~t == 0)
+                for t in range(1 << n)]
+    assert subset_sums(g).tolist() == expected
 
 
 @st.composite
