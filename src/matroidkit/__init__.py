@@ -79,7 +79,6 @@ from .constructions import (
 from .exchange import deserialize, dump, load, serialize
 from .isomorphism import (
     find_embedding,
-    invariant_profile,
     is_isomorphic,
 )
 from .connectivity import (

@@ -412,7 +412,8 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
                          target: Matroid) -> bool:
     """Check a minor certificate by rank and bases.
 
-    Verifies the contract/delete/image partition of E(host), then that
+    Verifies that the mapping holds exactly one pair per target element,
+    and the contract/delete/image partition of E(host), then that
     N = (host / C) | image has the target's rank and bases, so N is the
     target (Oxley, 1.2): r(C + image(X)) - r(C) = r(target) for X = E(target),
     and for each r(target)-subset X exactly when X is a target basis. That
@@ -430,7 +431,7 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
     pairs = dict(cert.mapping)
-    if len(pairs) != target.size or set(pairs) != set(range(target.size)):
+    if sorted(t for t, _ in cert.mapping) != list(range(target.size)):
         return False
     if any(not 0 <= h < host.size for h in pairs.values()):
         return False

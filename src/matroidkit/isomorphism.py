@@ -1,9 +1,10 @@
 """Matroid isomorphism and rank-preserving embeddings.
 
-Backtracking over element assignments, pruned by iterated invariant
-refinement (loop status, parallel class size, 3-point-line incidences) and
-by rank agreement on the independent subsets of the assigned prefix, with
-each one's new element added.
+Backtracking over element assignments, pruned by a colour refinement of
+the elements of both matroids together (rank, 3-point-line incidences,
+then the colours and ranks of the pairs through each element) and by rank
+agreement on the independent subsets of the assigned prefix, with each
+one's new element added.
 """
 
 from __future__ import annotations
@@ -11,66 +12,49 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .core import Matroid, _point_classes, rank_reader, rank_table
+from .core import Matroid, rank_reader
 from .errors import ResourceLimitError
 
 
-def invariant_profile(m: Matroid) -> tuple:
-    """Cheap isomorphism invariants: anything that differs rules iso out."""
-    classes, loops = _point_classes(m.r, 0, range(m.size))
-    class_sizes = tuple(sorted(len(c) for c in classes))
-    n_loops = len(loops)
-    tri = _triangle_counts(m)
-    return (
-        m.size,
-        m.full_rank(),
-        n_loops,
-        class_sizes,
-        tuple(sorted(tri)),
-    )
+def _colours(a: Matroid, b: Matroid) -> tuple[list[int], list[int]]:
+    """Colour refinement of the elements of a and b together; returns a
+    colour id per element of each, numbered over both, so an element of a
+    and one of b have the same id exactly when their colours agree.
 
-
-def _triangle_counts(m: Matroid) -> list[int]:
-    """Per element: number of 3-subsets through it of rank <= 2."""
-    n = m.size
-    counts = [0] * n
-    for a, b, c in itertools.combinations(range(n), 3):
-        if m.r((1 << a) | (1 << b) | (1 << c)) <= 2:
-            counts[a] += 1
-            counts[b] += 1
-            counts[c] += 1
-    return counts
-
-
-def _refined_classes(m: Matroid) -> list[int]:
-    """Color refinement on elements; returns a class id per element."""
-    n = m.size
-    tri = _triangle_counts(m)
-    colors = [(m.r(1 << e), tri[e]) for e in range(n)]
-    ids = _normalize(colors)
-    for _ in range(n):
-        sigs = []
-        for e in range(n):
-            neigh = sorted(
-                (ids[f], m.r((1 << e) | (1 << f))) for f in range(n) if f != e
-            )
-            sigs.append((ids[e], tuple(neigh)))
-        new_ids = _normalize(sigs)
-        if new_ids == ids:
-            break
-        ids = new_ids
-    return ids
-
-
-def _normalize(values: list) -> list[int]:
-    order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [order[v] for v in values]
+    e starts as (r(e), the number of 3-subsets through e of rank <= 2).
+    Each round recolours e by its colour and the sorted multiset of
+    (colour of f, r(e + f)) over f != e, until the number of colours stops
+    growing. Ranks are read through rank_reader, the pairs once per matroid.
+    """
+    pairs, colours = [], []
+    for m in (a, b):
+        r, n = rank_reader(m), m.size
+        pair = [[r(1 << e | 1 << f) for f in range(n)] for e in range(n)]
+        tri = [0] * n
+        for t in itertools.combinations(range(n), 3):
+            if r(1 << t[0] | 1 << t[1] | 1 << t[2]) <= 2:
+                for e in t:
+                    tri[e] += 1
+        pairs.append(pair)
+        colours.append([(pair[e][e], tri[e]) for e in range(n)])
+    count = 0
+    while True:
+        ids = {c: i for i, c in
+               enumerate(sorted(set(colours[0]) | set(colours[1])))}
+        ca, cb = ([ids[c] for c in side] for side in colours)
+        if len(ids) == count:
+            return ca, cb
+        count = len(ids)
+        colours = [[(c[e], tuple(sorted((c[f], rank) for f, rank
+                                        in enumerate(row) if f != e)))
+                    for e, row in enumerate(pair)]
+                   for c, pair in zip((ca, cb), pairs)]
 
 
 def _constraint_order(tr, n: int) -> list[int]:
     """Order target elements so dependencies close early (better pruning):
     each next element closes the most circuits of size 2 or 3 with those
-    already placed, ties to the least. tr reads the target's rank table."""
+    already placed, ties to the least. tr reads the target's ranks."""
     singles = [1 << e for e in range(n)]
     small = [s for k in (2, 3)
              for s in map(sum, itertools.combinations(singles, k))
@@ -100,10 +84,9 @@ def find_embedding(host: Matroid, target: Matroid,
     by its independent sets: X + t is then independent on one side exactly
     when it is on the other, and a dependent X stays dependent with t
     added on both sides. The target's side depends only on the depth, so
-    its reads are made once per depth, from its rank table. Host ranks
-    are read from the host's rank table when it is cached or its
-    provenance builds it, else from the host's oracle; either way the
-    search is the same.
+    its reads are made once per depth. Both sides are read through
+    rank_reader: from the rank table when it is cached or the provenance
+    builds it, else through the oracle; either way the search is the same.
     """
     nt = target.size
     if nt > 20:
@@ -111,7 +94,7 @@ def find_embedding(host: Matroid, target: Matroid,
     if nt > host.size:
         return None
     hr = rank_reader(host)
-    tr = rank_table(target).tobytes().__getitem__
+    tr = rank_reader(target)
     order = _constraint_order(tr, nt)
     if candidates is None:
         candidates = [list(range(host.size))] * nt
@@ -162,16 +145,12 @@ def find_embedding(host: Matroid, target: Matroid,
 
 def is_isomorphic(a: Matroid, b: Matroid) -> Optional[dict[int, int]]:
     """Isomorphism test; returns {element of a: element of b} or None."""
-    if a.size != b.size:
+    if a.size != b.size or a.full_rank() != b.full_rank():
         return None
-    if invariant_profile(a) != invariant_profile(b):
-        return None
-    ca = _refined_classes(a)
-    cb = _refined_classes(b)
+    ca, cb = _colours(a, b)
     if sorted(ca) != sorted(cb):
         return None
-    candidates = [[h for h in range(a.size) if ca[h] == cb[t]]
-                  for t in range(b.size)]
+    candidates = [[h for h in range(a.size) if ca[h] == c] for c in cb]
     found = find_embedding(a, b, candidates=candidates)
     if found is None:
         return None

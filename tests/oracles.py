@@ -303,7 +303,7 @@ def certificate_walk(cert, host, target) -> bool:
     """
     contract, delete = set(cert.contract), set(cert.delete)
     pairs = dict(cert.mapping)
-    if sorted(pairs) != list(range(target.size)):
+    if sorted(t for t, _ in cert.mapping) != list(range(target.size)):
         return False
     image = set(pairs.values())
     if len(image) != target.size:

@@ -7,12 +7,18 @@ from matroidkit.representations import GraphRep, LinearRep
 
 @st.composite
 def linear_reps(draw, max_rows=4, max_cols=8, primes=(2, 3, 5, 7)):
-    """Zero columns (loops) and repeated columns both occur."""
+    """Entries are drawn from all of GF(p), so nonzero ones are as common
+    as in a uniform draw. Zero columns (loops) and repeated columns both
+    occur: up to two columns are then replaced by the zero column or by a
+    copy of a drawn column."""
     p = draw(st.sampled_from(primes))
     nr = draw(st.integers(0, max_rows))
     col = st.tuples(*[st.integers(0, p - 1)] * nr)
-    cols = draw(st.lists(st.one_of(col, st.just((0,) * nr)),
-                         min_size=1, max_size=max_cols))
+    cols = draw(st.lists(col, min_size=1, max_size=max_cols))
+    swap = st.tuples(st.integers(0, len(cols) - 1),
+                     st.sampled_from([(0,) * nr] + cols))
+    for i, c in draw(st.lists(swap, max_size=2)):
+        cols[i] = c
     return LinearRep(p, nr, tuple(cols))
 
 

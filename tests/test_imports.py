@@ -1,5 +1,7 @@
-"""Every name imported into a package module is used there, and every
-private module-level name is referenced somewhere in the package.
+"""Every name imported into a package module is used there, every
+private module-level name is referenced somewhere in the package, and
+every function the package re-exports is referenced by a test, a demo or
+the README.
 
 The package's __init__ imports names only to re-export them, so it is
 skipped by the import check. A name counts as used when it appears as an
@@ -7,14 +9,16 @@ identifier anywhere in the module, annotations included.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import matroidkit
 
-MODULES = sorted(p for p in Path(matroidkit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(matroidkit.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -71,7 +75,7 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def test_every_private_name_is_referenced():
-    paths = sorted(Path(matroidkit.__file__).parent.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py"))
     used = set().union(*(_references(ast.parse(p.read_text())) for p in paths))
     orphans = [f"{p.name}:{name}" for p in paths
                for name in _private_definitions(p) if name not in used]
@@ -84,3 +88,43 @@ def test_orphaned_private_name_is_reported(tmp_path):
     assert _private_definitions(path) == ["_A", "B", "c"]
     refs = _references(ast.parse(path.read_text()))
     assert [n for n in _private_definitions(path) if n not in refs] == ["_A", "c"]
+
+
+def _exported_functions(package: Path) -> list[str]:
+    """Names the package's __init__ re-exports that their module defines
+    as functions; classes, exception types and constants are left out."""
+    out = []
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = ast.parse((package / f"{node.module}.py").read_text())
+            functions = {d.name for d in module.body
+                         if isinstance(d, ast.FunctionDef)}
+            out += [a.asname or a.name for a in node.names
+                    if a.name in functions]
+    return out
+
+
+def _unreferenced(names: list[str], paths: list[Path]) -> list[str]:
+    """The names that appear as a word in none of the files."""
+    words = set().union(*(re.findall(r"\w+", p.read_text()) for p in paths))
+    return [name for name in names if name not in words]
+
+
+def test_every_exported_function_is_referenced():
+    paths = [*sorted((ROOT / "tests").rglob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md"]
+    assert _unreferenced(_exported_functions(PACKAGE), paths) == []
+
+
+def test_unreferenced_export_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .mod import LIMIT, Thing, helper, orphan\n")
+    (package / "mod.py").write_text(
+        "LIMIT = 1\n\nclass Thing:\n    pass\n\ndef helper():\n    pass\n"
+        "\ndef orphan():\n    pass\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `helper()` on a `Thing`.\n")
+    assert _exported_functions(package) == ["helper", "orphan"]
+    assert _unreferenced(_exported_functions(package), [readme]) == ["orphan"]

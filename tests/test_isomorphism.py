@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroidkit import (Matroid, clique, direct_sum, fano, find_embedding,
-                        from_matrix, is_isomorphic, uniform)
+                        from_matrix, is_isomorphic, restriction, uniform)
 from matroidkit.constructions import triangle_ext, whirl
 from oracles import embedding_all_subsets, iso_brute
 from strategies import graph_reps, linear_reps, planted_reps
+
+
+def _preserves_ranks(phi, a, b) -> bool:
+    return all(a.r(mask) == b.r(sum(1 << phi[e] for e in range(a.size)
+                                    if mask >> e & 1))
+               for mask in range(1 << a.size))
 
 
 PAIRS = [
@@ -30,12 +36,7 @@ def test_matches_brute_force(a, b, expect):
     phi = is_isomorphic(a, b)
     assert (phi is not None) == expect
     if phi is not None:
-        for mask in range(1 << a.size):
-            img = 0
-            for e in range(a.size):
-                if (mask >> e) & 1:
-                    img |= 1 << phi[e]
-            assert a.r(mask) == b.r(img)
+        assert _preserves_ranks(phi, a, b)
 
 
 def test_random_relabelings_are_found(rng: random.Random):
@@ -59,6 +60,33 @@ def test_random_relabelings_are_found(rng: random.Random):
 def test_size_or_rank_mismatch_short_circuits():
     assert is_isomorphic(uniform(2, 4), uniform(2, 5)) is None
     assert is_isomorphic(uniform(2, 4), uniform(3, 4)) is None
+
+
+# matroids of at most 7 elements, so the brute force stays fast
+SMALL = st.one_of(linear_reps(max_cols=7, primes=(2, 3)),
+                  graph_reps(max_edges=7), planted_reps(max_cols=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL, st.data())
+def test_a_relabelled_bare_twin_is_isomorphic(rep, data):
+    m = rep.matroid()
+    twin = _relabeled_restriction(m, data.draw(st.permutations(range(m.size))))
+    phi = is_isomorphic(m, twin)
+    assert phi is not None and sorted(phi.values()) == list(range(m.size))
+    assert _preserves_ranks(phi, m, twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL, SMALL)
+def test_independent_draws_agree_with_brute_force(rep_a, rep_b):
+    a, b = rep_a.matroid(), rep_b.matroid()
+    n = min(a.size, b.size)
+    a, b = restriction(a, range(n)), restriction(b, range(n))
+    phi = is_isomorphic(a, b)
+    assert (phi is None) == (iso_brute(a, b) is None)
+    if phi is not None:
+        assert _preserves_ranks(phi, a, b)
 
 
 # ---------------------------------------------------------------------------

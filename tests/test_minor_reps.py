@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matroidkit._bits import mask_of, spread_choose
-from matroidkit.constructions import free_extension, truncation
+from matroidkit.constructions import free_extension, truncation, uniform
 from matroidkit.core import (
     Matroid,
     MinorCertificate,
@@ -112,7 +112,7 @@ def _perturb(cert, rng):
     """A certificate that is usually, but not always, wrong."""
     mapping = list(cert.mapping)
     contract, delete = set(cert.contract), set(cert.delete)
-    how = rng.randrange(5)
+    how = rng.randrange(6)
     if how == 0 and len(mapping) >= 2:
         i, j = rng.sample(range(len(mapping)), 2)
         (ti, hi), (tj, hj) = mapping[i], mapping[j]
@@ -130,6 +130,11 @@ def _perturb(cert, rng):
     elif how == 4 and mapping and (contract or delete):
         e = rng.choice(sorted(contract | delete))
         mapping[0] = (mapping[0][0], e)
+    elif how == 5 and mapping and (contract or delete):
+        # a second pair for one target element, ahead of its own pair
+        i = rng.randrange(len(mapping))
+        e = rng.choice(sorted(contract | delete))
+        mapping.insert(i, (mapping[i][0], e))
     return MinorCertificate(frozenset(contract), frozenset(delete),
                             tuple(mapping))
 
@@ -173,6 +178,14 @@ def test_validate_certificate_agrees_with_subset_walk(case, seed):
         bad = _perturb(cert, rng)
         assert validate_certificate(bad, host, target) == \
             certificate_walk(bad, host, target)
+
+
+def test_a_target_element_mapped_twice_is_rejected():
+    # host element 1 is deleted and also named as the image of 0
+    host, target = uniform(1, 2), uniform(1, 1)
+    cert = MinorCertificate(frozenset(), frozenset({1}), ((0, 1), (0, 0)))
+    assert not validate_certificate(cert, host, target)
+    assert not certificate_walk(cert, host, target)
 
 
 @settings(max_examples=150, deadline=None)
