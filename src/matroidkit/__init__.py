@@ -19,7 +19,6 @@ from .errors import (
 from .core import (
     GROUND_SET_CAP,
     TABLE_CAP,
-    KungReport,
     Matroid,
     MinorCertificate,
     Recipe,
@@ -32,7 +31,6 @@ from .core import (
     dual,
     epsilon,
     independent,
-    kung_bound_check,
     loops_mask,
     minor_with_map,
     parallel_classes,
@@ -104,11 +102,13 @@ from .tangles import (
 )
 from .minors import (
     ExtensionClass,
+    KungReport,
     MembershipRecord,
     classify_clique_extension,
     find_clique_minor,
     has_minor,
     is_graphic,
+    kung_bound_check,
     membership_suite,
     spike_split_witness,
 )

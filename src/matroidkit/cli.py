@@ -53,6 +53,7 @@ from .minors import (
     membership_suite,
 )
 from .reduction import reduce_clique_extension
+from .representations import has_blocking_pair
 from .suites import growth_table, run_suite, suite_names
 from .tangles import Tangle, tangle_tk
 
@@ -214,7 +215,6 @@ def cmd_query(args) -> int:
         out["set"] = _elements(args.set)
         out["value"] = is_modular_flat(m, out["set"])
     elif q == "blocking-pair":
-        from .representations import has_blocking_pair
         pair = has_blocking_pair(m.provenance)
         out["value"] = list(pair) if pair is not None else None
     else:

@@ -9,6 +9,7 @@ plugs into the rest of the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -228,23 +229,22 @@ def circuits(m: Matroid, bound: Optional[int] = None) -> list[frozenset[int]]:
     """All circuits of size <= bound, sorted by (size, elements).
 
     X is a circuit iff dependent with every one-element deletion independent.
+    Over 2^18 subsets of size <= bound (2^n with no bound) raise
+    ResourceLimitError before any read.
     """
     n = m.size
-    if bound is None:
-        bound = n
-        if n > 18:
-            raise ResourceLimitError(
-                f"unbounded circuit enumeration needs |E| <= 18, got {n}"
-            )
-    out = []
+    bound = n if bound is None else bound
+    subsets = sum(math.comb(n, k) for k in range(bound + 1))
+    if subsets > 1 << 18:
+        raise ResourceLimitError(f"circuits up to size {bound} of {n} "
+                                 f"elements read {subsets} subsets, over 2^18")
+    out = []  # combinations come by size, and in element order within one
     for k in range(1, bound + 1):
         for combo in itertools.combinations(range(n), k):
             mask = mask_of(combo)
-            if m.r(mask) >= k:
-                continue
-            if all(m.r(mask ^ (1 << e)) == k - 1 for e in combo):
+            if m.r(mask) < k and all(m.r(mask ^ (1 << e)) == k - 1
+                                     for e in combo):
                 out.append(frozenset(combo))
-    out.sort(key=lambda c: (len(c), sorted(c)))
     return out
 
 
@@ -404,9 +404,6 @@ class MinorCertificate:
     delete: frozenset[int]
     mapping: tuple[tuple[int, int], ...]
 
-    def validate(self, host: Matroid, target: Matroid) -> bool:
-        return validate_certificate(self, host, target)
-
 
 def validate_certificate(cert: MinorCertificate, host: Matroid,
                          target: Matroid) -> bool:
@@ -482,13 +479,14 @@ def rank_table(m: Matroid) -> np.ndarray:
 
     The table is built at most once per matroid, cached on it and returned
     read-only, so it costs 2^n bytes for as long as the matroid lives.
-    Every provenance kind builds it with a few numpy passes: odd-prime
-    matrices from a histogram of their codewords' supports when there are
-    at most 2^n codewords to count (always over GF(3), so GF(3) never
-    declines up to TABLE_CAP), other GF(p) matrices by a doubling DP over
-    the elements, graphs and decorated graphs through their GF(2) or GF(3)
-    incidence matrix over the vertices their edges touch, recipes by array
-    transforms of their operands' tables.
+    Every provenance kind builds it with a few numpy passes: odd-prime and
+    over-64-row GF(2) matrices from a histogram of their codewords'
+    supports when there are at most 2^n codewords (always over GF(3) and
+    for those GF(2) ones, so they never decline up to TABLE_CAP), other
+    GF(p) matrices by a doubling DP over the elements, graphs and decorated
+    graphs through their GF(2) or GF(3) incidence matrix over the vertices
+    their edges touch, recipes by array transforms of their operands'
+    tables.
     A matroid with no provenance, a recipe over one, or a builder whose
     workspace would exceed TABLE_BUDGET bytes walks the oracle once per
     subset instead.
@@ -580,40 +578,3 @@ def validate_rank_axioms(m: Matroid) -> None:
                 raise PreconditionError(
                     f"submodularity fails at X={elements_of(s | 1 << e)} "
                     f"Y={elements_of(s | 1 << f)}")
-
-
-# ---------------------------------------------------------------------------
-# density bound
-
-
-@dataclass(frozen=True)
-class KungReport:
-    line_bound: int          # l: no rank-2 uniform minor on l+2 elements
-    rank: int
-    epsilon: int
-    bound: int               # (l^r - 1) / (l - 1)
-    holds: bool
-    tight: bool
-
-
-def kung_bound_check(m: Matroid, line_bound: int,
-                     check_minor: bool = False) -> KungReport:
-    """Point-count bound epsilon(M) <= (l^r - 1)/(l - 1) for matroids with
-    no (l+2)-point line minor.
-
-    The precondition is caller-asserted unless check_minor=True, which runs
-    the minor search and raises PreconditionError on violation.
-    """
-    if line_bound < 2:
-        raise DomainError("line bound must be >= 2")
-    if check_minor:
-        from .minors import has_minor
-        from .constructions import uniform
-        if has_minor(m, uniform(2, line_bound + 2)) is not None:
-            raise PreconditionError(
-                f"matroid has a U(2,{line_bound + 2}) minor; bound does not apply"
-            )
-    r = m.full_rank()
-    bound = (line_bound ** r - 1) // (line_bound - 1)
-    eps = epsilon(m)
-    return KungReport(line_bound, r, eps, bound, eps <= bound, eps == bound)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .constructions import (free_extension, principal_extension, truncation,
+                            uniform, whirl)
 from .core import (Matroid, Recipe, check_size, direct_sum, dual,
                    minor_with_map)
 from .errors import FormatError, ResourceLimitError, SerializationError
@@ -193,8 +195,6 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
 
 
 def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matroid:
-    from . import constructions as cons
-
     def arity(k: int):
         if len(args) != k:
             raise FormatError(f"op {op!r} takes {k} nested matroid(s), "
@@ -213,20 +213,20 @@ def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matro
     try:
         if op == "uniform":
             arity(0)
-            return cons.uniform(param("r"), param("n"))
+            return uniform(param("r"), param("n"))
         if op == "whirl":
             arity(0)
-            return cons.whirl(param("r"))
+            return whirl(param("r"))
         if op == "truncation":
             arity(1)
-            return cons.truncation(args[0])
+            return truncation(args[0])
         if op == "free-extension":
             arity(1)
-            return cons.free_extension(args[0])
+            return free_extension(args[0])
         if op == "principal-extension":
             arity(1)
             flat = _int_list(param("flat", list), f"{loc}.params.flat")
-            return cons.principal_extension(args[0], flat)
+            return principal_extension(args[0], flat)
         if op == "dual":
             arity(1)
             return dual(args[0])

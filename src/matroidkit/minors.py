@@ -24,16 +24,19 @@ from .core import (
     _point_classes,
     check_table_size,
     closed_flags,
+    epsilon,
     lambda_table,
     minor_with_map,
     rank_reader,
     rank_table,
     same_rank_function,
+    validate_certificate,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .isomorphism import find_embedding
 from .representations import GraphRep, LinearRep, standard_rep
-from .constructions import _spike, clique, uniform
+from .constructions import (_spike, clique, fano, free_ext_clique, square_ext,
+                            triangle_ext, uniform, whirl)
 
 MINOR_SIZE_CAP = 24
 
@@ -42,8 +45,7 @@ MINOR_SIZE_CAP = 24
 # minor containment
 
 
-def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
-              ) -> Optional[MinorCertificate]:
+def has_minor(m: Matroid, target: Matroid) -> Optional[MinorCertificate]:
     """Search for a minor of m isomorphic to target; certificate or None.
 
     Complete: every minor is m / C restricted to a subset for some
@@ -62,12 +64,12 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
     host, and for a simplification over TABLE_CAP elements.
 
     m's ranks are read from its rank table when it is cached or m's
-    provenance builds it, else from m's oracle. With validate, every
-    certificate is checked against m's own oracle before it is returned,
-    in the oracle's batch form when it has one, never through m's table
-    or provenance (see validate_certificate); a found certificate whose
-    target has more than TABLE_CAP elements raises ResourceLimitError
-    instead. A host over MINOR_SIZE_CAP elements raises
+    provenance builds it, else from m's oracle. Every certificate is
+    checked against m's own oracle before it is returned, in the oracle's
+    batch form when it has one, never through m's table or provenance (see
+    validate_certificate), and one that fails raises RuntimeError; a found
+    certificate whose target has more than TABLE_CAP elements raises
+    ResourceLimitError instead. A host over MINOR_SIZE_CAP elements raises
     ResourceLimitError before the search starts.
     """
     if m.size > MINOR_SIZE_CAP:
@@ -92,7 +94,7 @@ def has_minor(m: Matroid, target: Matroid, *, validate: bool = True
             continue
         cert = _embed_restriction(m, r, cmask, t_si, t_classes, t_loops)
         if cert is not None:
-            if validate and not cert.validate(m, target):
+            if not validate_certificate(cert, m, target):
                 raise RuntimeError("minor search built an invalid certificate")
             return cert
     return None
@@ -463,9 +465,6 @@ def membership_suite(name: str) -> list[MembershipRecord]:
     name is square-family, triangle-family, or circle-family. Each record
     pins a specific matroid inside a specific family member.
     """
-    from .constructions import (fano, free_ext_clique, square_ext,
-                                triangle_ext, whirl)
-
     if name == "square-family":
         checks = [
             ("the rank-3 binary projective plane is the member on 4 vertices",
@@ -493,20 +492,45 @@ def membership_suite(name: str) -> list[MembershipRecord]:
 
     out = []
     for claim, family, target, lo, hi in checks:
-        host, cert = _first_host(family, target, lo, hi)
-        if host is None:
+        for host in map(family, range(lo, hi + 1)):  # the first that has it
+            if (cert := has_minor(host, target)) is not None:
+                out.append(MembershipRecord(claim, host.name, target.name,
+                                            True, cert))
+                break
+        else:
             out.append(MembershipRecord(claim, "(none found)", target.name,
                                         False))
-        else:
-            out.append(MembershipRecord(claim, host.name, target.name, True,
-                                        cert))
     return out
 
 
-def _first_host(family, target, lo: int, hi: int):
-    for k in range(lo, hi + 1):
-        host = family(k)
-        cert = has_minor(host, target)
-        if cert is not None:
-            return host, cert
-    return None, None
+# ---------------------------------------------------------------------------
+# density bound
+
+
+@dataclass(frozen=True)
+class KungReport:
+    line_bound: int          # l: no rank-2 uniform minor on l+2 elements
+    rank: int
+    epsilon: int
+    bound: int               # (l^r - 1) / (l - 1)
+    holds: bool
+    tight: bool
+
+
+def kung_bound_check(m: Matroid, line_bound: int,
+                     check_minor: bool = False) -> KungReport:
+    """Point-count bound epsilon(M) <= (l^r - 1)/(l - 1) for matroids with
+    no (l+2)-point line minor.
+
+    The precondition is caller-asserted unless check_minor=True, which runs
+    the minor search and raises PreconditionError on violation.
+    """
+    if line_bound < 2:
+        raise DomainError("line bound must be >= 2")
+    if check_minor and has_minor(m, uniform(2, line_bound + 2)) is not None:
+        raise PreconditionError(
+            f"matroid has a U(2,{line_bound + 2}) minor; bound does not apply")
+    r = m.full_rank()
+    bound = (line_bound ** r - 1) // (line_bound - 1)
+    eps = epsilon(m)
+    return KungReport(line_bound, r, eps, bound, eps <= bound, eps == bound)

@@ -254,10 +254,10 @@ class LinearRep:
         return Matroid(len(self.columns), rank_mask, provenance=self, name=name)
 
     def rank_table_fast(self) -> Optional[np.ndarray]:
-        """Rank of every column subset, from codeword supports over an odd
-        prime and by doubling over the columns otherwise.
+        """Rank of every column subset: from codeword supports over an odd
+        prime or past 64 GF(2) rows, else by doubling over the columns.
 
-        Over GF(p), p odd, the combinations of a matrix's n rows whose word
+        Over GF(p), the combinations of a matrix's n rows whose word
         vanishes on S number p^(n - r(S)), and the words of its dual code
         (the vectors orthogonal to every row, m - r of them independent)
         with support inside T number p^(|T| - r(T)) (Greene 1976). So one
@@ -268,24 +268,24 @@ class LinearRep:
         [-A^T | I] when 2r > m.
         That is p^k words, k = min(r, m - r), and this path is taken
         whenever p^k <= 2^m: always over GF(3), so GF(3) builds every
-        table up to TABLE_CAP.
+        table up to TABLE_CAP, and over GF(2) past 64 rows (k <= m / 2).
 
-        Otherwise (GF(2), and GF(5)/GF(7) with more words than subsets)
-        the table doubles over the columns. Before step i, row x of the
-        state holds columns i..m-1 reduced modulo span(x), x a subset of
-        columns 0..i-1, each as the coset representative that is zero at
-        every pivot. Step i reads w, column i reduced: subsets with i gain
-        rank where w != 0, and their rows are the remaining columns reduced
-        by w, pivoting at w's lowest set bit over GF(2) (columns packed
-        into one unsigned int) and at its first nonzero entry over GF(p)
-        (columns as uint8 vectors).
+        Otherwise (64 GF(2) rows or fewer; GF(5)/GF(7) with more words than
+        subsets) the table doubles over the columns. Before step i, row x
+        of the state holds columns i..m-1 reduced modulo span(x), x a
+        subset of columns 0..i-1, each as the coset representative that is
+        zero at every pivot. Step i reads w, column i reduced: subsets with
+        i gain rank where w != 0, and their rows are the remaining columns
+        reduced by w, pivoting at w's lowest set bit over GF(2) (columns
+        packed into one unsigned int) and at its first nonzero entry over
+        GF(p) (columns as uint8 vectors).
 
         Either path returns None, before allocating, when its workspace
         would exceed TABLE_BUDGET bytes.
         """
         m = len(self.columns)
         p, nr = self.prime, self.n_rows
-        if p != 2:
+        if p != 2 or nr > 64:
             basis = np.reshape(self.columns, (m, nr)).T.astype(np.uint8)
             dual = False
             if 2 * nr > m or p ** nr > 1 << m:
@@ -297,7 +297,7 @@ class LinearRep:
                 if (1 << m) * (3 + count) + _WORD_BLOCK > TABLE_BUDGET:
                     return None
                 return _support_table(basis, p, dual)
-        packed = p == 2 and nr <= 64
+        packed = p == 2
         if packed:
             dtype = np.min_scalar_type((1 << nr) - 1)
             col_bytes = dtype.itemsize

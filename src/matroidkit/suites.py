@@ -45,7 +45,6 @@ from .core import (
     MinorCertificate,
     direct_sum,
     epsilon,
-    kung_bound_check,
     minor_with_map,
     simplify,
     validate_rank_axioms,
@@ -58,6 +57,7 @@ from .minors import (
     find_clique_minor,
     has_minor,
     is_graphic,
+    kung_bound_check,
     membership_suite,
     spike_split_witness,
 )

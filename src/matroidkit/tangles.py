@@ -26,10 +26,11 @@ import numpy as np
 
 from ._bits import (complement, first_member, has_member, maximal_family,
                     members, or_up, pack, pack_masks, popcount,
-                    popcount_table, spread, unpack)
+                    popcount_table, unpack)
 from .core import (Matroid, MinorCertificate, lambda_of, rank_table,
-                   validate_rank_axioms)
+                   validate_certificate, validate_rank_axioms)
 from .connectivity import connectivity_mask
+from .constructions import clique
 from .errors import DomainError, PreconditionError
 
 
@@ -199,18 +200,14 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     The certificate ties N's elements to host elements; it is re-validated.
     """
     target = t_n.matroid
-    if not cert.validate(m, target):
+    if not validate_certificate(cert, m, target):
         raise DomainError("certificate does not carry the tangle's matroid")
     theta = t_n.theta
     sep = _separating(lambda_of(m), theta)
     small_n = unpack(
         _under(t_n) & _separating(lambda_of(target), theta),
         target.size)
-    weight = [0] * m.size  # host element h carries target bit weight[h]
-    for t_elem, h_elem in cert.mapping:
-        weight[h_elem] = 1 << t_elem
-    # the target mask of every host subset's trace X meet E(N)
-    in_t = sep & pack(small_n[spread(0, weight)])
+    in_t = sep & _lift(small_n, m.size, cert.mapping)
     verdict, maximal = _family_axioms(m, in_t, sep)
     if not verdict.ok:
         raise PreconditionError(
@@ -219,13 +216,26 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
     return Tangle(m, theta, maximal)
 
 
+def _lift(flags: np.ndarray, n: int, mapping) -> np.ndarray:
+    """The packed family of the n-element host subsets whose trace under
+    mapping's (target element, host element) pairs is flagged, with no
+    index array: axis i of flags shaped (2,) * k holds element k - 1 - i,
+    so its axes go in descending host order and broadcast over the rest."""
+    k = flags.size.bit_length() - 1
+    order = sorted(mapping, key=lambda pair: -pair[1])
+    shape = [1] * n
+    for _, h_elem in order:
+        shape[n - 1 - h_elem] = 2
+    lifted = flags.reshape((2,) * k).transpose(
+        [k - 1 - t_elem for t_elem, _ in order]).reshape(shape)
+    return pack(np.broadcast_to(lifted, (2,) * n).reshape(-1))
+
+
 def clique_minor_tangle(m: Matroid, cert: MinorCertificate, n: int) -> Tangle:
     """The order-ceil(2n/3) tangle induced by a clique(n+1) minor.
 
     cert must certify clique(n+1) as a minor of m.
     """
-    from .constructions import clique
-
     if n < 2:
         raise DomainError("clique tangles need n >= 2")
     base = clique(n + 1)

@@ -286,6 +286,18 @@ def embedding_all_subsets(host, target, candidates=None):
     return dict(phi) if extend(0) else None
 
 
+def circuits_walk(m, bound=None) -> list[frozenset[int]]:
+    """The circuits of at most bound elements, by a walk over every subset:
+    X is one when it is dependent and each X - e is independent."""
+    out = []
+    for x in range(1, 1 << m.size):
+        k = x.bit_count()
+        if (bound is None or k <= bound) and m.r(x) < k and all(
+                m.r(x ^ 1 << e) == k - 1 for e in range(m.size) if x >> e & 1):
+            out.append(frozenset(e for e in range(m.size) if x >> e & 1))
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
 def _image(mask: int, perm, n: int) -> int:
     img = 0
     for i in range(n):
@@ -459,6 +471,18 @@ def trace_shift(n: int, mapping) -> np.ndarray:
     for t_elem, h_elem in mapping:
         trace |= ((idx >> h_elem) & 1) << t_elem
     return trace
+
+
+def lift_by_spread(flags: np.ndarray, n: int, mapping) -> np.ndarray:
+    """The flags of the n-element host subsets whose trace is flagged,
+    gathered through spread(0, weight), an int32 trace of every host
+    subset, where host element h carries target bit weight[h]."""
+    from matroidkit._bits import spread
+
+    weight = [0] * n
+    for t_elem, h_elem in mapping:
+        weight[h_elem] = 1 << t_elem
+    return flags[spread(0, weight)]
 
 
 # ---------------------------------------------------------------------------

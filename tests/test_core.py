@@ -36,7 +36,8 @@ from matroidkit.errors import (
 )
 from matroidkit._bits import mask_of, spread_choose
 from conftest import random_graph, random_linear
-from oracles import eps_oracle, rank_axioms_hold
+from oracles import circuits_walk, eps_oracle, rank_axioms_hold
+from strategies import graph_reps, linear_reps
 
 from matroidkit.constructions import (free_ext_clique, n_square, spike,
                                        triangle_ext)
@@ -115,6 +116,33 @@ def test_closure_and_circuits_on_triangle():
     m = clique(3)
     assert closure(m, [0, 1]) == frozenset({0, 1, 2})
     assert circuits(m) == [frozenset({0, 1, 2})]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(linear_reps(max_cols=9, primes=(2, 3)),
+                 graph_reps(max_edges=9)),
+       st.none() | st.integers(0, 9))
+def test_circuits_match_the_subset_walk(rep, bound):
+    m = rep.matroid()
+    assert circuits(m, bound) == circuits_walk(m, bound)
+
+
+def test_bounded_circuit_enumeration_is_refused_before_any_read():
+    # sum of C(55, k) for k <= 8 is about 1.45e9 subsets
+    m = clique(11)
+
+    def no_read(mask):
+        raise AssertionError(f"read mask {mask}")
+
+    m._rank_mask = no_read
+    with pytest.raises(ResourceLimitError):
+        circuits(m, bound=8)
+
+
+def test_unbounded_circuit_enumeration_stops_at_18_elements():
+    assert len(circuits(uniform(1, 18))) == 153  # the pairs of parallels
+    with pytest.raises(ResourceLimitError):
+        circuits(uniform(1, 19))
 
 
 def test_minor_with_map_contract_then_delete():

@@ -1,4 +1,5 @@
-"""Every name imported into a package module is used there, every
+"""Every name imported into a package module is used there, no module
+imports inside a function but where that breaks an import cycle, every
 private module-level name is referenced somewhere in the package, and
 every function the package re-exports is referenced by a test, a demo or
 the README.
@@ -43,6 +44,44 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom x import y, z as w\nprint(y)\n")
     assert _unused_imports(tree) == ["os (line 1)", "w (line 2)"]
+
+
+# function-level imports, by module: each breaks an import cycle
+# (constructions imports core, and a whirl's table is its wheel's)
+CYCLE_IMPORTS = {"core.py": ["Recipe.rank_table_fast:_wheel"]}
+
+
+def _function_imports(node: ast.AST, scope: str = "",
+                      in_function: bool = False) -> list[str]:
+    """The names imported inside a function, each as "qualified name of
+    the function:name"; a class body is not a function."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+            out += _function_imports(child, inner, in_function
+                                     or not isinstance(child, ast.ClassDef))
+        elif isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+            out += [f"{scope}:{alias.name}" for alias in child.names]
+        else:
+            out += _function_imports(child, scope, in_function)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_are_made_at_module_level(path):
+    assert (_function_imports(ast.parse(path.read_text()))
+            == CYCLE_IMPORTS.get(path.name, []))
+
+
+def test_import_inside_a_function_is_reported():
+    tree = ast.parse(
+        "import os\n\nclass A:\n    import re\n\n    def f(self):\n"
+        "        from x import y\n\n        def g():\n"
+        "            import z.q\n\ndef h():\n    if os:\n"
+        "        import w\n")
+    assert _function_imports(tree) == ["A.f:y", "A.f.g:z.q", "h:w"]
 
 
 def _private_definitions(path: Path) -> list[str]:

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matroidkit import (Matroid, clique, direct_sum, fano, find_embedding,
                         from_matrix, is_isomorphic, restriction, uniform)
 from matroidkit.constructions import triangle_ext, whirl
+from matroidkit.representations import GraphRep, LinearRep
 from oracles import embedding_all_subsets, iso_brute
 from strategies import graph_reps, linear_reps, planted_reps
 
@@ -83,6 +84,52 @@ def test_independent_draws_agree_with_brute_force(rep_a, rep_b):
     a, b = rep_a.matroid(), rep_b.matroid()
     n = min(a.size, b.size)
     a, b = restriction(a, range(n)), restriction(b, range(n))
+    phi = is_isomorphic(a, b)
+    assert (phi is None) == (iso_brute(a, b) is None)
+    if phi is not None:
+        assert _preserves_ranks(phi, a, b)
+
+
+@st.composite
+def near_twins(draw):
+    """A GF(2) or GF(3) matrix, or a graph, of 4 to 7 elements and a
+    shuffled copy with one entry, column or edge end redrawn: the same
+    size, often the same rank, and often not isomorphic, which
+    independent draws of equal size and rank rarely are."""
+    n = draw(st.integers(4, 7))
+    if draw(st.booleans()):
+        p, nr = draw(st.sampled_from((2, 3))), draw(st.integers(2, 4))
+        col = st.tuples(*[st.integers(0, p - 1)] * nr)
+        cols = draw(st.lists(col, min_size=n, max_size=n))
+        other = list(cols)
+        j = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, nr - 1))
+            shift = draw(st.integers(1, p - 1))
+            other[j] = tuple((x + shift) % p if k == i else x
+                             for k, x in enumerate(cols[j]))
+        else:
+            other[j] = draw(col)
+        reps = [LinearRep(p, nr, tuple(c)) for c in (cols, other)]
+    else:
+        nv = draw(st.integers(2, 5))
+        edge = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+        edges = draw(st.lists(edge, min_size=n, max_size=n))
+        other = list(edges)
+        j = draw(st.integers(0, n - 1))
+        other[j] = (other[j][0], draw(st.integers(0, nv - 1)))
+        reps = [GraphRep(nv, tuple(e)) for e in (edges, other)]
+    a = reps[0].matroid()
+    b = _relabeled_restriction(reps[1].matroid(),
+                               draw(st.permutations(range(n))))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_twins())
+def test_near_twins_agree_with_brute_force(pair):
+    a, b = pair
+    assume(a.full_rank() == b.full_rank())
     phi = is_isomorphic(a, b)
     assert (phi is None) == (iso_brute(a, b) is None)
     if phi is not None:

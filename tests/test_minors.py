@@ -228,11 +228,14 @@ def test_a_clique_has_no_dual_fano_minor_within_a_second():
 @pytest.mark.parametrize("rows,p,found", [(TERNARY, 3, True),
                                           (BINARY, 2, False)],
                          ids=["ternary", "binary"])
-def test_search_on_a_linear_host_never_calls_its_oracle(rows, p, found):
+def test_search_on_a_linear_host_never_calls_its_oracle(rows, p, found,
+                                                       monkeypatch):
     host = from_matrix(rows, p)
     oracle, calls = host._rank_mask, []
     host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
-    cert = has_minor(host, uniform(2, 4), validate=False)
+    # the search alone: its certificate's check is the only oracle reader
+    monkeypatch.setattr(minors, "validate_certificate", lambda *args: True)
+    cert = has_minor(host, uniform(2, 4))
     assert (cert is not None) == found
     assert calls == []
     if found:
@@ -240,11 +243,30 @@ def test_search_on_a_linear_host_never_calls_its_oracle(rows, p, found):
         assert calls  # validation reads the host's own oracle
 
 
-def test_a_lying_host_raises_rather_than_return_a_failing_certificate():
+@pytest.mark.parametrize("target,found", [(uniform(2, 3), True),
+                                          (uniform(2, 4), False)],
+                         ids=["triangle", "four-point-line"])
+def test_every_returned_certificate_is_validated(target, found, monkeypatch):
+    seen = []
+
+    def counted(cert, host, tgt):
+        seen.append(cert)
+        return validate_certificate(cert, host, tgt)
+
+    monkeypatch.setattr(minors, "validate_certificate", counted)
+    cert = has_minor(clique(5), target)
+    assert (cert is not None) == found
+    assert seen == ([cert] if found else [])
+
+
+def test_a_lying_host_raises_rather_than_return_a_failing_certificate(
+        monkeypatch):
     # the provenance claims a triangle (U(2,3)); the oracle is U(1,3)
     triangle = GraphRep(3, ((0, 1), (1, 2), (0, 2)))
     liar = Matroid(3, lambda mask: min(mask, 1), provenance=triangle)
-    assert has_minor(liar, uniform(2, 3), validate=False) is not None
+    with monkeypatch.context() as patch:  # the search finds a certificate
+        patch.setattr(minors, "validate_certificate", lambda *args: True)
+        assert has_minor(liar, uniform(2, 3)) is not None
     with pytest.raises(RuntimeError):
         has_minor(liar, uniform(2, 3))
 

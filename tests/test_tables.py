@@ -1,9 +1,10 @@
 """Differential tests: the cached rank-table paths against plain oracles.
 
 Each fast path (the codeword-support table for odd-prime matrices and
-its subset sums, the doubling DP for the other GF(p) tables, which graphs
-and decorated graphs reach through their incidence matrix over the
-vertices their edges touch, the array transforms for recipe tables, table
+GF(2) matrices of more than 64 rows and its subset sums, the doubling DP
+for the other GF(p) tables, which graphs and decorated graphs reach
+through their incidence matrix over the vertices their edges touch, the
+array transforms for recipe tables, table
 equality in same_rank_function, the subset-closure sweep in tangle
 membership) is compared with the subset-by-subset definition it replaces.
 The codeword enumeration's subset sums are compared with the sum over
@@ -232,7 +233,8 @@ def _unit_columns(n):
     tuple((j + 1) ** i % 7 for i in range(5)) for j in range(5))))
 def test_linear_table_dp_matches_elimination_on_every_mask(rep):
     # every path of LinearRep.rank_table_fast: the codeword-support table
-    # (odd primes, p^k <= 2^m) and the doubling DP (the rest)
+    # (odd primes with p^k <= 2^m, and GF(2) over 64 rows) and the
+    # doubling DP (the rest)
     table = rep.rank_table_fast()
     assert table.dtype == np.uint8
     cols = rep.columns
@@ -399,6 +401,31 @@ def test_gf3_tables_build_at_22_columns(n_rows):
     assert table is not None and peak < TABLE_BUDGET
     oracle = rep.matroid()._rank_mask
     for mask in (rng.getrandbits(22) for _ in range(3000)):
+        assert table[mask] == oracle(mask)
+
+
+@pytest.mark.parametrize("n_rows,n_cols,rank", [(65, 20, 10), (70, 20, 20),
+                                                 (70, 22, 11)])
+def test_tall_gf2_tables_build_from_supports(n_rows, n_cols, rank):
+    # columns of more than 64 bits pack into no unsigned int, and the
+    # uint8 DP over them would need 1 + 3 * n_rows bytes per subset
+    rng = random.Random(n_rows * n_cols + rank)
+    basis = [[rng.randrange(2) for _ in range(n_cols)] for _ in range(rank)]
+    rows = []
+    for _ in range(n_rows):
+        picked = [b for b in basis if rng.randrange(2)]
+        rows.append([sum(b[j] for b in picked) % 2 for j in range(n_cols)])
+    rep = from_matrix(rows, 2).provenance
+    tracemalloc.start()
+    try:
+        table = rep.rank_table_fast()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table is not None and peak < TABLE_BUDGET
+    oracle = rep.matroid()._rank_mask
+    for mask in [0, (1 << n_cols) - 1] + [rng.getrandbits(n_cols)
+                                          for _ in range(3000)]:
         assert table[mask] == oracle(mask)
 
 

@@ -25,14 +25,15 @@ from matroidkit import (
     uniform,
     validate_rank_axioms,
 )
-from matroidkit._bits import elements_of, spread
-from matroidkit.core import Matroid
-from matroidkit.tangles import TangleCheck
+from matroidkit._bits import elements_of, pack, spread
+from matroidkit.core import Matroid, lambda_of
+from matroidkit.tangles import TangleCheck, _lift
 from conftest import random_graph, random_linear
 from oracles import (
     induced_tangle_flags,
     is_tangle_flags,
     lambda_flags,
+    lift_by_spread,
     rank_axioms_hold,
     small_flags,
     tangle_matroid_flags,
@@ -181,6 +182,37 @@ def test_host_trace_matches_the_shift_form(case):
     trace = spread(0, weights)
     assert trace.dtype == np.int32
     assert np.array_equal(trace, trace_shift(n, mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(0, n),
+    st.integers(0, 2**32 - 1))))
+def test_lifted_flags_match_the_spread_gather(case):
+    n, hosts, k, seed = case
+    mapping = list(enumerate(hosts[:k]))
+    flags = np.random.default_rng(seed).random(1 << k) < 0.5
+    assert np.array_equal(_lift(flags, n, mapping),
+                          pack(lift_by_spread(flags, n, mapping)))
+
+
+def test_clique7_induced_tangle_fits_in_6_mib():
+    """A clique(5) tangle lifted onto clique(7) takes no per-subset index:
+    the host's lambda is built beforehand, and the lift is one byte per
+    subset before packing."""
+    host = clique(7)
+    cert = find_clique_minor(host, 4)
+    t_n = tangle_tk(clique(5), 3)
+    lambda_of(host)
+    lambda_of(t_n.matroid)
+    tracemalloc.start()
+    try:
+        t = induced_tangle(host, cert, t_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.maximal) == 21
+    assert peak < 6 << 20
 
 
 def _verdict(check: TangleCheck):
