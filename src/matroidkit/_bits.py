@@ -40,6 +40,16 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+def reversed_bytes(t: np.ndarray) -> np.ndarray:
+    """A new array of t's entries in reverse order, t a contiguous uint8
+    array such as a rank table, so entry X is t[E - X]. From 8 entries on
+    it reverses 8-byte words and swaps the bytes within each, as numpy
+    copies a reversed view of single bytes a few times slower."""
+    if t.size % 8:
+        return t[::-1].copy()
+    return t.view(np.uint64)[::-1].byteswap().view(np.uint8)
+
+
 CHOOSE_SPLIT = 16  # spread_choose holds 2^CHOOSE_SPLIT masks at most
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ._bits import (bits, elements_of, mask_of, popcount, popcount_table,
-                    spread, spread_at, spread_choose)
+                    reversed_bytes, spread, spread_at, spread_choose)
 from .errors import (
     DomainError,
     GroundSetError,
@@ -122,8 +122,13 @@ class Recipe:
         t = tables[0]
         r = int(t[-1])
         if op == "dual":
-            out = popcount_table(n)
-            out += t[::-1]
+            out = reversed_bytes(t)
+            # |X| is the count of X's low 8 bits plus that of the rest,
+            # added by rows of 2^low so no temporary is table-sized
+            low = min(n, 8)
+            rows = out.reshape(-1, 1 << low)
+            rows += popcount_table(low)
+            rows += popcount_table(n - low)[:, None]
             out -= r
             return out
         if op == "truncation":
@@ -230,7 +235,8 @@ def circuits(m: Matroid, bound: Optional[int] = None) -> list[frozenset[int]]:
 
     X is a circuit iff dependent with every one-element deletion independent.
     Over 2^18 subsets of size <= bound (2^n with no bound) raise
-    ResourceLimitError before any read.
+    ResourceLimitError before any read. Ranks come through rank_reader, so
+    a rank table answers them when m has one, and m's memo keeps none.
     """
     n = m.size
     bound = n if bound is None else bound
@@ -238,12 +244,13 @@ def circuits(m: Matroid, bound: Optional[int] = None) -> list[frozenset[int]]:
     if subsets > 1 << 18:
         raise ResourceLimitError(f"circuits up to size {bound} of {n} "
                                  f"elements read {subsets} subsets, over 2^18")
+    r = rank_reader(m)
     out = []  # combinations come by size, and in element order within one
     for k in range(1, bound + 1):
         for combo in itertools.combinations(range(n), k):
             mask = mask_of(combo)
-            if m.r(mask) < k and all(m.r(mask ^ (1 << e)) == k - 1
-                                     for e in combo):
+            if r(mask) < k and all(r(mask ^ (1 << e)) == k - 1
+                                   for e in combo):
                 out.append(frozenset(combo))
     return out
 
@@ -532,9 +539,10 @@ def closed_flags(table: np.ndarray) -> np.ndarray:
 
 def lambda_table(t: np.ndarray) -> np.ndarray:
     """lambda(X) = r(X) + r(E - X) - r(M) for every mask, in uint8, where t
-    is M's rank table (t[::-1][X] = t[E - X]; submodularity keeps lambda
-    at least 0)."""
-    lam = t + t[::-1]
+    is M's rank table (t reversed holds t[E - X] at X; submodularity
+    keeps lambda at least 0)."""
+    lam = reversed_bytes(t)
+    lam += t
     lam -= t[-1]
     return lam
 

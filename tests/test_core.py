@@ -145,6 +145,18 @@ def test_unbounded_circuit_enumeration_stops_at_18_elements():
         circuits(uniform(1, 19))
 
 
+def test_circuits_read_the_rank_table_not_the_memo():
+    m = uniform(1, 18)
+    tracemalloc.start()
+    try:
+        assert len(circuits(m)) == 153
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m._cache) == 0
+    assert peak < 1 << 20  # the 256 KiB table and its bytes, no memo
+
+
 def test_minor_with_map_contract_then_delete():
     m = clique(4)  # edges 01,02,03,12,13,23
     n, keep = minor_with_map(m, [0], [5])

@@ -3,8 +3,10 @@
 Each fast path (the codeword-support table for odd-prime matrices and
 GF(2) matrices of more than 64 rows and its subset sums, the doubling DP
 for the other GF(p) tables, which graphs and decorated graphs reach
-through their incidence matrix over the vertices their edges touch, the
-array transforms for recipe tables, table
+through their incidence matrix over the vertices their edges touch; over
+GF(2) its step is the batch oracle's leading-bit v = min(v, v ^ w) on
+packed columns, drawn at every packed width and with the top bit set;
+the array transforms for recipe tables and _bits.reversed_bytes, table
 equality in same_rank_function, the subset-closure sweep in tangle
 membership) is compared with the subset-by-subset definition it replaces.
 The codeword enumeration's subset sums are compared with the sum over
@@ -47,8 +49,8 @@ from matroidkit import (
 from matroidkit._bits import (CHOOSE_SPLIT, WORD, complement, elements_of,
                               first_member, has_member, maximal_family,
                               members, or_up, pack, pack_masks,
-                              popcount_table, spread, spread_at,
-                              spread_choose, subset_sums, unpack)
+                              popcount_table, reversed_bytes, spread,
+                              spread_at, spread_choose, subset_sums, unpack)
 from matroidkit.core import TABLE_BUDGET, Matroid, closure_mask, lambda_table
 from matroidkit.representations import GraphRep, LinearRep
 from matroidkit.tangles import Tangle, _separating, _under
@@ -188,10 +190,12 @@ def test_packed_kernels_match_the_flag_loops(n, seed, density):
 @st.composite
 def dependent_linear_reps(draw, max_cols=10):
     """Zero rows and zero, repeated and dependent columns all occur; over
-    GF(2), sometimes more rows than fit in one packed machine word."""
+    GF(2), row counts that fill each packed width (uint8 to uint64) and
+    just pass it, and more rows than fit in one machine word."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     nr = draw(st.integers(0, 5) if p != 2 else
-              st.one_of(st.integers(0, 5), st.just(65)))
+              st.one_of(st.integers(0, 5),
+                        st.sampled_from((8, 9, 16, 17, 32, 33, 64, 65))))
     entry = st.integers(0, p - 1)
     cols = []
     for _ in range(draw(st.integers(0, max_cols))):
@@ -216,6 +220,16 @@ def _unit_columns(n):
     return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
+def _top_bit_rep(n_rows):
+    """GF(2) columns that fill a packed width, most setting its top bit:
+    dependent, repeated, zero and all-ones columns."""
+    top, mid = 1 << n_rows - 1, 1 << n_rows // 2
+    packed = (top | 1, top | 2, 3, top, top | 1, (top << 1) - 1, 0,
+              top | mid, mid | 1)
+    return LinearRep(2, n_rows, tuple(
+        tuple(c >> j & 1 for j in range(n_rows)) for c in packed))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(dependent_linear_reps(), planted_reps()))
 # the support table over the matrix's own rows: 7^3 <= 2^10
@@ -231,6 +245,12 @@ def _unit_columns(n):
 # the doubling DP: rank 5 on 10 columns, 7^5 > 2^10
 @example(LinearRep(7, 5, _unit_columns(5) + tuple(
     tuple((j + 1) ** i % 7 for i in range(5)) for j in range(5))))
+# the GF(2) DP at each packed width with its top bit set, which a signed
+# dtype would read as a sign, breaking the min reduction
+@example(_top_bit_rep(8))
+@example(_top_bit_rep(16))
+@example(_top_bit_rep(32))
+@example(_top_bit_rep(64))
 def test_linear_table_dp_matches_elimination_on_every_mask(rep):
     # every path of LinearRep.rank_table_fast: the codeword-support table
     # (odd primes with p^k <= 2^m, and GF(2) over 64 rows) and the
@@ -372,6 +392,26 @@ def test_graph_table_budget_declines_before_allocating():
     assert table is not None and table[-1] == 6
 
 
+def test_gf2_dp_workspace_at_64_rows_and_22_columns():
+    # the rank table and the old and new uint64 states: 2^22 x (1 + 8) B,
+    # 36 MiB, at the last steps (39 MiB traced), with no state-sized
+    # temporary beside them
+    rng = random.Random(6422)
+    rep = LinearRep(2, 64, tuple(
+        tuple(rng.randrange(2) for _ in range(64)) for _ in range(22)))
+    tracemalloc.start()
+    try:
+        table = rep.rank_table_fast()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table is not None and peak < 42 << 20
+    oracle = rep.matroid()._rank_mask
+    for mask in [0, (1 << 22) - 1] + [rng.getrandbits(22)
+                                      for _ in range(2000)]:
+        assert table[mask] == oracle(mask)
+
+
 def test_support_table_budget_declines_before_allocating():
     # one GF(3) row on 25 columns: 3 codewords, but the counts, the table,
     # the exponent lookup and a temporary take 2^25 x 4 B > TABLE_BUDGET
@@ -449,6 +489,16 @@ def test_graph_table_dp_with_wide_vertex_labels():
     g = GraphRep(300, edges + ((299, 0), (0, 299), (7, 7)))
     assert g.rank_table_fast().tolist() == [
         graph_rank(300, g.edges, x) for x in range(1 << len(g.edges))]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_reversed_bytes_match_the_reversed_view(n):
+    t = np.random.default_rng(n).integers(0, 256, 1 << n, dtype=np.uint8)
+    t.setflags(write=False)  # as a cached rank table is
+    out = reversed_bytes(t)
+    assert out.dtype == np.uint8 and out.flags.writeable
+    assert np.array_equal(out, t[::-1])
+    assert not np.shares_memory(out, t)
 
 
 def test_popcount_table():
