@@ -323,82 +323,72 @@ def _clique_realization(m: Matroid, e: int) -> tuple[int, list]:
 
     Returns (k, pairs), where pairs[x] is the vertex pair (u, v), u < v, of
     base element x and pairs[e] is None. Raises PreconditionError when the
-    base is not a clique. Costs O(n^3) rank queries for n base elements.
+    base is not a clique. Costs O(k n^2) rank queries for n base elements.
 
-    The labels are read off triangle ranks, and the checks made on the way
-    are a complete certificate: every element has rank 1 and every pair
-    rank 2, the pairs are the C(k, 2) distinct edges of K_k, every triangle
-    of the labelling has rank 2, and r(base) = k - 1. Then any two edges of
-    a triangle span the third, so each edge uv lies in the closure of every
+    The labels are read off parallel classes: contracting the edge uv of
+    K_k makes ux parallel to vx for every other vertex x, and no other two
+    edges parallel (M(G) / e = M(G / e); Oxley, Matroid Theory, 2nd ed.,
+    ch. 3). So the 2-element classes of m / e0, e0 the least base element,
+    hold the edges at e0's ends, and the least of them, g0, shares vertex 0
+    with e0 = (0, 1). The other edges at 0 are those with a partner in
+    m / g0 too, less g0's partner in m / e0, which closes their triangle;
+    in element order they are (0, 2), (0, 3), ... In m / s, for each of
+    these s = (0, w), the edge at 0 with far end v is parallel to (v, w).
+
+    The checks made on the way are a complete certificate: every element
+    has rank 1 and every pair rank 2 (one class pass on the base), the
+    pairs are the C(k, 2) distinct edges of K_k, every triangle of the
+    labelling has rank 2, and r(base) = k - 1. Then any two edges of a
+    triangle span the third, so each edge uv lies in the closure of every
     u-v path, one triangle at a time. Every spanning tree therefore spans
     the base, and having k - 1 elements it is a basis. So every forest is
     independent, as it extends to a spanning tree, and every cycle is
     dependent, as each of its edges lies in the closure of the rest: the
     independent sets are exactly the forests, and the base is M(K_k).
     """
-    bit = 1 << e
-    base_mask = m.full_mask ^ bit
-    els = sorted(elements_of(base_mask))
+    base_mask = m.full_mask ^ 1 << e
+    els = elements_of(base_mask)
     ne = len(els)
     r = m.r(base_mask)
     k = r + 1
     if ne != k * (k - 1) // 2:
         raise PreconditionError(
             f"base has {ne} elements but rank {r}; not a clique")
-    for x in els:
-        if m.r(1 << x) != 1:
-            raise PreconditionError("base is not simple")
-    pairs: list = [None] * m.size
+    classes, loops = _point_classes(m.r, 0, els)
+    if loops or len(classes) != ne:
+        raise PreconditionError("base is not simple")
     if r < 2:  # K1 has no edge and K2 one
-        for x in els:
-            pairs[x] = (0, 1)
-        return k, pairs
+        return k, [None if x == e else (0, 1) for x in range(m.size)]
 
-    # adjacency: two edges share a vertex iff they extend to a triangle
-    adj = [[False] * ne for _ in range(ne)]
-    for i, j in itertools.combinations(range(ne), 2):
-        mij = (1 << els[i]) | (1 << els[j])
-        if m.r(mij) != 2:
-            raise PreconditionError("base is not simple")
-        for t in range(ne):
-            if t != i and t != j and m.r(mij | (1 << els[t])) == 2:
-                adj[i][j] = adj[j][i] = True
-                break
-    n0 = [t for t in range(1, ne) if adj[0][t]]
-    if len(n0) != 2 * (k - 2):
+    def partners(c: int) -> dict[int, int]:
+        """Each base element in a 2-element class of m / c, to the other."""
+        rest = [x for x in els if x != c]
+        return {x: y for cls in _point_classes(m.r, 1 << c, rest)[0]
+                if len(cls) == 2 for x, y in (cls, cls[::-1])}
+
+    e0 = els[0]
+    near_e0 = partners(e0)
+    if len(near_e0) != 2 * (k - 2):
         raise PreconditionError("base is not a clique: wrong edge degree")
-    # split the neighbours of edge 0 into its two vertex stars
-    g0 = n0[0]
-    m0 = (1 << els[0]) | (1 << els[g0])
-    star = [g0] + [t for t in n0[1:]
-                   if adj[g0][t] and m.r(m0 | (1 << els[t])) == 3]
+    g0 = min(near_e0)
+    near_g0 = partners(g0)
+    star = [x for x in sorted(near_e0) if x == g0
+            or x in near_g0 and x != near_e0[g0]]
     if len(star) != k - 2:
         raise PreconditionError("base is not a clique: bad star split")
-    pairs[els[0]] = (0, 1)
-    label: dict[int, int] = {}
-    for nxt, t in enumerate(sorted(star), start=2):
-        pairs[els[t]] = (0, nxt)
-        label[t] = nxt
-    spokes = sorted(star)
-    for t in range(1, ne):
-        if t in label:
-            continue
-        ends = [label[a] for a in spokes if adj[t][a]]
-        if len(ends) == 2:
-            pairs[els[t]] = (ends[0], ends[1]) if ends[0] < ends[1] \
-                else (ends[1], ends[0])
-        elif len(ends) == 1:
-            pairs[els[t]] = (1, ends[0])
-        else:
-            raise PreconditionError("base is not a clique: stray adjacency")
-    if len({pairs[x] for x in els}) != ne:
+    far = {e0: 1} | {s: w for w, s in enumerate(star, start=2)}
+    pairs: list = [None] * m.size
+    for x, v in far.items():
+        pairs[x] = (0, v)
+    for s in star:
+        for x, y in (near_g0 if s == g0 else partners(s)).items():
+            if x in far:
+                pairs[y] = tuple(sorted((far[x], far[s])))
+    if len({pairs[x] for x in els} - {None}) != ne:
         raise PreconditionError("base is not a clique: edge labels collide")
-    # triangle closure check pins the labelling
     edge_of = {pairs[x]: x for x in els}
     for u, v, w in itertools.combinations(range(k), 3):
-        tri = (1 << edge_of[(u, v)]) | (1 << edge_of[(u, w)]) \
-            | (1 << edge_of[(v, w)])
-        if m.r(tri) != 2:
+        if m.r(mask_of(edge_of[t] for t in ((u, v), (u, w), (v, w)))) != 2:
             raise PreconditionError("base is not a clique: open triangle")
     return k, pairs
 

@@ -185,7 +185,8 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
     # weakest bound that still lets the leaves place their extra vertices.
     if corank >= m - 3:
         if t == 1 and r_f == 2:
-            leaf = _triangle_leaf(e, comps[0], k, m, edge_of)
+            leaf = _clique_leaf("triangle", triangle_ext, m, comps[0], e, k,
+                                edge_of)
             if leaf is not None:
                 return _finish(root, keep, c_acc, transcript, depth, m, *leaf)
         if rhat == 3:
@@ -193,7 +194,8 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
                        if x != e and not (1 << x) & fhat]
             sub, _ = minor_with_map(cur, (), outside)
             if is_isomorphic(sub, fano()):
-                leaf = _square_leaf(e, vset, k, m, edge_of)
+                leaf = _clique_leaf("square", square_ext, m + 1, vset, e, k,
+                                    edge_of)
                 if leaf is not None:
                     return _finish(root, keep, c_acc, transcript, depth, m,
                                    *leaf)
@@ -278,27 +280,16 @@ def _tree_edges(comp: list[int], fmask: int, pairs: _Pairs) -> list[int]:
 # leaves: each returns (kind, target, contract-elements, mapping)
 
 
-def _triangle_leaf(e: int, comp: list[int], k: int, m: int,
-                   edge_of: dict) -> Optional[tuple]:
-    verts = sorted(comp)
-    others = [v for v in range(k) if v not in comp]
-    worder = verts + others[:m - 3]
-    if len(worder) < m:
+def _clique_leaf(kind: str, family, size: int, core: list[int], e: int,
+                 k: int, edge_of: dict) -> Optional[tuple]:
+    """family(size) on the core vertices, sorted, then the lowest others;
+    None when the clique has fewer than size vertices."""
+    worder = (sorted(core) + [v for v in range(k) if v not in core])[:size]
+    if len(worder) < size:
         return None
-    mapping = _clique_mapping(worder, m, edge_of)
-    mapping.append((m * (m - 1) // 2, e))
-    return "triangle", triangle_ext(m), (), mapping
-
-
-def _square_leaf(e: int, vset: list[int], k: int, m: int,
-                 edge_of: dict) -> Optional[tuple]:
-    others = [v for v in range(k) if v not in vset]
-    worder = sorted(vset) + others[:m + 1 - 4]
-    if len(worder) < m + 1:
-        return None
-    mapping = _clique_mapping(worder, m + 1, edge_of)
-    mapping.append(((m + 1) * m // 2, e))
-    return "square", square_ext(m + 1), (), mapping
+    mapping = _clique_mapping(worder, size, edge_of)
+    mapping.append((size * (size - 1) // 2, e))
+    return kind, family(size), (), mapping
 
 
 def _free_leaf(e: int, comp: list[int], comps: list[list[int]], fmask: int,

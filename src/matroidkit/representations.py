@@ -95,32 +95,44 @@ def _gf2_rank(packed: tuple[int, ...]):
     return rank_mask
 
 
-def _code_basis(rows: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
-    """A basis of the row space C of a GF(p) matrix with m columns, or of
-    its dual code when dim C > m / 2, and whether it is the dual's: the
-    rows reduced to [I | A] (columns permuted), else [A^T | I] in the same
-    columns. The dual code is the row space of [-A^T | I]; negating the
-    pivot columns changes no word's support. The elimination runs on
-    Python lists, which beat numpy calls on the small matrices most tables
-    come from."""
-    a = rows.tolist()
-    n_rows, m = rows.shape
+def _eliminate(a: list[list[int]], p: int, columns: Iterable[int]
+               ) -> list[int]:
+    """Row-reduce the GF(p) rows a in place, pivoting on the given columns
+    in turn, and return the columns that took a pivot. The i-th pivot row
+    is moved up to row i; it is 1 in the i-th pivot column, where every
+    other row is 0. The rows without a pivot follow in their own order.
+    The one GF(p) list elimination, shared by _code_basis,
+    LinearRep.minor_rep and _fix_ternary."""
     inv = _inverses(p)
     piv: list[int] = []
-    for j in range(m):
+    for j in columns:
         r = len(piv)
-        if r == n_rows:
+        if r == len(a):
             break
-        i = next((i for i in range(r, n_rows) if a[i][j]), None)
+        i = next((i for i in range(r, len(a)) if a[i][j]), None)
         if i is None:
             continue
-        a[r], a[i] = a[i], a[r]
-        c = inv[a[r][j]]
-        top = a[r] = [x * c % p for x in a[r]]
+        c = inv[a[i][j]]
+        top = [x * c % p for x in a.pop(i)]
+        a.insert(r, top)
         for i, row in enumerate(a):
             if i != r and (c := row[j]):
                 a[i] = [(x - c * y) % p for x, y in zip(row, top)]
         piv.append(j)
+    return piv
+
+
+def _code_basis(rows: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
+    """A basis of the row space C of a GF(p) matrix with m columns, or of
+    its dual code when dim C > m / 2, and whether it is the dual's: the
+    rows reduced to [I | A] (columns permuted) by _eliminate on every
+    column, else [A^T | I] in the same columns. The dual code is the row
+    space of [-A^T | I]; negating the pivot columns changes no word's
+    support. The elimination runs on Python lists, which beat numpy calls
+    on the small matrices most tables come from."""
+    a = rows.tolist()
+    m = rows.shape[1]
+    piv = _eliminate(a, p, range(m))
     r = len(piv)
     reduced = np.array(a[:r], dtype=np.uint8).reshape(r, m)
     if 2 * r <= m:
@@ -352,36 +364,15 @@ class LinearRep:
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]
                   ) -> "LinearRep":
-        """Matrix of the minor: pivot out contracted columns, drop rows."""
-        p = self.prime
-        inv = _inverses(p)
-        cols = [list(c) for c in self.columns]
-        n = len(cols)
+        """Matrix of the minor: _eliminate pivots on the contracted
+        columns, and their pivot rows go with them. A contracted column
+        left without a pivot is a loop by then, so it is just deleted."""
+        a = [[col[j] for col in self.columns] for j in range(self.n_rows)]
+        rest = a[len(_eliminate(a, self.prime, sorted(contract))):]
         gone = set(contract) | set(delete)
-        dead_rows: set[int] = set()
-        for c in sorted(contract):
-            col = cols[c]
-            h = next((j for j in range(self.n_rows)
-                      if j not in dead_rows and col[j]), -1)
-            if h < 0:
-                continue  # loop by now; contracting it = deleting it
-            iv = inv[col[h]]
-            col = [(x * iv) % p for x in col]
-            for d in range(n):
-                if d == c:
-                    continue
-                coeff = cols[d][h]
-                if coeff:
-                    cols[d] = [(cols[d][j] - coeff * col[j]) % p
-                               for j in range(self.n_rows)]
-            dead_rows.add(h)
-        keep_rows = [j for j in range(self.n_rows) if j not in dead_rows]
-        keep_cols = [d for d in range(n) if d not in gone]
-        return LinearRep(
-            p,
-            len(keep_rows),
-            tuple(tuple(cols[d][j] for j in keep_rows) for d in keep_cols),
-        )
+        return LinearRep(self.prime, len(rest), tuple(
+            tuple(row[d] for row in rest)
+            for d in range(len(self.columns)) if d not in gone))
 
 
 def from_matrix(rows: Sequence[Sequence[int]], prime: int,
@@ -476,9 +467,9 @@ def _fix_ternary(t: bytes, basis: list[int], bmask: int,
             cols = [~v for v in path if v < 0]
             basic = t[bmask ^ mask_of(basis[k] for k in rows)
                       | mask_of(cols)] == r
-            sub = LinearRep(3, len(rows), tuple(
-                tuple(entry.get((k, c), 0) for k in rows) for c in cols))
-            if (sub.matroid().full_rank() == len(rows)) != basic:
+            sub = [[entry.get((k, c), 0) for c in cols] for k in rows]
+            singular = len(_eliminate(sub, 3, range(len(cols)))) < len(rows)
+            if singular == basic:
                 entry[i, e] = 2
             pending.remove(i)
             place(i, e)

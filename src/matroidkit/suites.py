@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._bits import bits, mask_of, spread
 from .connectivity import is_modular_flat, kappa, linking_minor
 from .constructions import (
     biclique,
@@ -45,7 +46,9 @@ from .core import (
     MinorCertificate,
     direct_sum,
     epsilon,
+    lambda_of,
     minor_with_map,
+    rank_table,
     simplify,
     validate_rank_axioms,
     validate_certificate,
@@ -535,34 +538,17 @@ def _linking_thunk(inst: dict):
         kap, _wit = kappa(m, xs, ys)
         # independent exhaustive minimization over all separations
         free = m.full_mask & ~(xmask | ymask)
-        rm = m.full_rank()
-        brute = None
-        sub = free
-        while True:
-            z = xmask | sub
-            lam = m.r(z) + m.r(m.full_mask & ~z) - rm
-            if brute is None or lam < brute:
-                brute = lam
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
+        brute = int(lambda_of(m)[spread(xmask, [1 << e for e in bits(free)])]
+                    .min())
         n2, cert = linking_minor(m, xs, ys)
         inv = {h: i for i, h in cert.mapping}
         for side in (xs, ys):
-            for t in range(1 << len(side)):
-                smask = 0
-                nmask = 0
-                for i, el in enumerate(side):
-                    if (t >> i) & 1:
-                        smask |= 1 << el
-                        nmask |= 1 << inv[el]
-                if m.r(smask) != n2.r(nmask):
-                    return ("restrictions and lambda agree",
-                            "restriction rank drifted", False)
-        ximg = 0
-        for el in xs:
-            ximg |= 1 << inv[el]
-        lam_minor = n2.r(ximg) + n2.r(n2.full_mask ^ ximg) - n2.full_rank()
+            host = spread(0, [1 << el for el in side])
+            minor = spread(0, [1 << inv[el] for el in side])
+            if not np.array_equal(rank_table(m)[host], rank_table(n2)[minor]):
+                return ("restrictions and lambda agree",
+                        "restriction rank drifted", False)
+        lam_minor = int(lambda_of(n2)[mask_of(inv[el] for el in xs)])
         computed = {"kappa": kap, "exhaustive": brute,
                     "lambda-in-minor": lam_minor}
         ok = kap == brute == lam_minor

@@ -356,6 +356,76 @@ def is_clique(m) -> bool:
     return n == r * (r + 1) // 2 and is_graphic(m) is not None
 
 
+def clique_labels_by_triangles(m, e: int):
+    """(k, pairs) labelling m minus e as K_k, read off triangle ranks, with
+    the labels of matroidkit's _clique_realization; raises
+    PreconditionError when the base is not a clique.
+
+    Two base edges share a vertex when some third edge closes a triangle
+    with them (O(n^3) reads). The least neighbour g0 of the least edge e0
+    fixes vertex 0; the star at 0 is g0 and the common neighbours of e0 and
+    g0 that span rank 3 with both; every other edge is named by the star
+    edges it meets. The labelling is then checked as a certificate.
+    """
+    from matroidkit import PreconditionError
+
+    els = [x for x in range(m.size) if x != e]
+    base_mask = sum(1 << x for x in els)
+    ne = len(els)
+    r = m.r(base_mask)
+    k = r + 1
+    if ne != k * (k - 1) // 2:
+        raise PreconditionError("base size is not C(r + 1, 2)")
+    if any(m.r(1 << x) != 1 for x in els):
+        raise PreconditionError("base is not simple")
+    pairs: list = [None] * m.size
+    if r < 2:
+        for x in els:
+            pairs[x] = (0, 1)
+        return k, pairs
+    adj = [[False] * ne for _ in range(ne)]
+    for i, j in itertools.combinations(range(ne), 2):
+        mij = (1 << els[i]) | (1 << els[j])
+        if m.r(mij) != 2:
+            raise PreconditionError("base is not simple")
+        for t in range(ne):
+            if t != i and t != j and m.r(mij | (1 << els[t])) == 2:
+                adj[i][j] = adj[j][i] = True
+                break
+    n0 = [t for t in range(1, ne) if adj[0][t]]
+    if len(n0) != 2 * (k - 2):
+        raise PreconditionError("wrong edge degree")
+    g0 = n0[0]
+    m0 = (1 << els[0]) | (1 << els[g0])
+    star = [g0] + [t for t in n0[1:]
+                   if adj[g0][t] and m.r(m0 | (1 << els[t])) == 3]
+    if len(star) != k - 2:
+        raise PreconditionError("bad star split")
+    pairs[els[0]] = (0, 1)
+    label = {}
+    for nxt, t in enumerate(sorted(star), start=2):
+        pairs[els[t]] = (0, nxt)
+        label[t] = nxt
+    for t in range(1, ne):
+        if t in label:
+            continue
+        ends = sorted(label[a] for a in label if adj[t][a])
+        if len(ends) == 2:
+            pairs[els[t]] = tuple(ends)
+        elif len(ends) == 1:
+            pairs[els[t]] = (1, ends[0])
+        else:
+            raise PreconditionError("stray adjacency")
+    if len({pairs[x] for x in els}) != ne:
+        raise PreconditionError("edge labels collide")
+    edge_of = {pairs[x]: x for x in els}
+    for u, v, w in itertools.combinations(range(k), 3):
+        tri = sum(1 << edge_of[p] for p in ((u, v), (u, w), (v, w)))
+        if m.r(tri) != 2:
+            raise PreconditionError("open triangle")
+    return k, pairs
+
+
 def graphic_tree_search(m):
     """(vertex count, edges) of a graph realizing m, or None, by trying
     every labelled spanning tree for a basis (at most 10 elements).

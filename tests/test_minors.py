@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
@@ -47,9 +47,9 @@ from matroidkit import minors
 from matroidkit.core import same_rank_function
 from matroidkit.minors import _clique_realization
 from matroidkit.representations import GraphRep, LinearRep
-from oracles import (certificate_walk, graph_rank, graphic_tree_search,
-                     is_clique, is_spike_minors, minor_brute,
-                     spike_split_minors)
+from oracles import (certificate_walk, clique_labels_by_triangles,
+                     graph_rank, graphic_tree_search, is_clique,
+                     is_spike_minors, minor_brute, spike_split_minors)
 from strategies import graph_reps, linear_reps, planted_reps
 
 
@@ -490,6 +490,48 @@ def test_clique_labelling_matches_reference(base):
         assert is_clique(base)
         assert same_rank_function(base, from_graph(k, pairs[:base.size]))
         assert classify_clique_extension(m, base.size).reason == "coloop"
+
+
+def _relabelled_clique_point(k: int):
+    """(m, e): a clique on shuffled vertices and edges, plus a coloop e."""
+    rng = random.Random(k)
+    edges = list(itertools.combinations(rng.sample(range(k), k), 2))
+    rng.shuffle(edges)
+    return direct_sum(from_graph(k, edges), uniform(1, 1)), len(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clique_shaped_bases().map(
+    lambda base: (direct_sum(base, uniform(1, 1)), base.size)))
+@example(_relabelled_clique_point(6))
+@example(_relabelled_clique_point(7))
+@example(_relabelled_clique_point(8))
+@example((free_ext_clique(8), 28))
+@example((direct_sum(whirl(3), uniform(1, 1)), 6))  # refused by triangles alone
+def test_clique_labels_match_the_triangle_labelling(case):
+    # reductions branch on vertex order, so the labels themselves must agree
+    m, e = case
+    try:
+        expected = clique_labels_by_triangles(m, e)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            _clique_realization(m, e)
+    else:
+        assert _clique_realization(m, e) == expected
+
+
+def test_clique_labelling_reads_few_masks_on_a_k8_base():
+    host = free_ext_clique(8)
+    seen = set()
+
+    def rank(mask):
+        seen.add(mask)
+        return host.r(mask)
+
+    k, pairs = _clique_realization(Matroid(host.size, rank), 28)
+    assert k == 8 and pairs == clique_labels_by_triangles(host, 28)[1]
+    # 1,654 masks from contraction classes; triangle adjacency read 3,683
+    assert len(seen) <= 2000
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from matroidkit.representations import (
     GraphRep,
     LinearRep,
     SignedGraphRep,
+    _eliminate,
     even_cycle,
     from_graph,
     from_matrix,
@@ -198,6 +199,34 @@ def test_blocking_pair_found_and_absent():
     # signed variant with a coverable odd set
     srep = SignedGraphRep(4, ((0, 1), (0, 2), (0, 3)), frozenset({0, 1, 2}))
     assert has_blocking_pair(srep) == (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(linear_reps(max_rows=6), planted_reps()), st.data())
+def test_eliminate_pivots_as_often_as_the_reference_rank(rep, data):
+    p, n = rep.prime, len(rep.columns)
+    chosen = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    a = [[col[j] for col in rep.columns] for j in range(rep.n_rows)]
+    piv = _eliminate(a, p, chosen)
+    assert len(piv) == gf_rank([rep.columns[j] for j in chosen], p)
+    for i, row in enumerate(a):  # pivot rows first, each a unit on piv
+        assert [row[j] for j in piv] == [int(i == t) for t in range(len(piv))]
+    # row operations keep the rank, and pivoting on every column finds it
+    assert gf_rank(a, p) == gf_rank(rep.columns, p)
+    assert len(_eliminate(a, p, range(n))) == gf_rank(rep.columns, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_minor_rep_without_columns_or_rows(p):
+    assert LinearRep(p, 3, ()).minor_rep((), ()) == LinearRep(p, 3, ())
+    rep = LinearRep(p, 0, ((),) * 4)
+    assert rep.minor_rep((0, 2), (1,)) == LinearRep(p, 0, ((),))
+
+
+def test_linear_minor_rep_keeps_the_order_of_unpivoted_rows():
+    # the pivot for column 0 is the last row; rows 0 and 1 stay in order
+    rep = LinearRep(3, 3, ((0, 0, 1), (1, 1, 1), (1, 2, 0)))
+    assert rep.minor_rep((0,), ()) == LinearRep(3, 2, ((1, 1), (1, 2)))
 
 
 @settings(max_examples=150, deadline=None)
