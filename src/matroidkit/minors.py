@@ -291,39 +291,41 @@ class ExtensionClass:
     witness: Optional[int] = None
 
 
-def classify_clique_extension(m: Matroid, e: int,
-                              *, check_base: bool = True) -> ExtensionClass:
+def classify_clique_extension(m: Matroid, e: int) -> ExtensionClass:
     """Classify element e added to a clique: the result is graphic iff e is
     a loop, a coloop, or parallel to an existing element.
 
-    check_base verifies that deleting e really leaves a clique, and raises
-    DomainError when it does not.
+    Raises DomainError when deleting e does not leave a clique.
     """
     if not 0 <= e < m.size:
         raise DomainError(f"element {e} out of range")
+    try:
+        _clique_realization(m, e)
+    except PreconditionError as exc:
+        raise DomainError(str(exc)) from exc
     base = m.full_mask & ~(1 << e)
-    if check_base:
-        try:
-            _clique_realization(m, e)
-        except PreconditionError as exc:
-            raise DomainError(str(exc)) from exc
     bit = 1 << e
     if m.r(bit) == 0:
         return ExtensionClass(True, "loop")
     if m.r(base) < m.full_rank():
         return ExtensionClass(True, "coloop")
-    for f in bits(base):
-        if m.r(1 << f) == 1 and m.r(bit | (1 << f)) == 1:
+    for f in bits(base):  # the base is certified simple
+        if m.r(bit | (1 << f)) == 1:
             return ExtensionClass(True, "parallel", witness=f)
     return ExtensionClass(False, "none-of-these")
 
 
-def _clique_realization(m: Matroid, e: int) -> tuple[int, list]:
-    """Vertex labels that make m minus e the cycle matroid of K_k.
+def _clique_realization(m: Matroid, e: int, cmask: int = 0,
+                        kmask: Optional[int] = None) -> tuple[int, list]:
+    """Vertex labels that make the view (m / C) | K minus e the cycle
+    matroid of K_k, read in m's labels.
 
-    Returns (k, pairs), where pairs[x] is the vertex pair (u, v), u < v, of
-    base element x and pairs[e] is None. Raises PreconditionError when the
-    base is not a clique. Costs O(k n^2) rank queries for n base elements.
+    C = cmask and K = kmask (all of E(m) by default) are disjoint masks,
+    and every rank is read as r(C + X) - r(C) for X within K, so no minor
+    is built. Returns (k, pairs), where pairs[x] is the vertex pair
+    (u, v), u < v, of base element x, and None for e and outside K. Raises
+    PreconditionError when the base is not a clique. Costs O(k n^2) rank
+    queries for n base elements.
 
     The labels are read off parallel classes: contracting the edge uv of
     K_k makes ux parallel to vx for every other vertex x, and no other two
@@ -346,24 +348,26 @@ def _clique_realization(m: Matroid, e: int) -> tuple[int, list]:
     dependent, as each of its edges lies in the closure of the rest: the
     independent sets are exactly the forests, and the base is M(K_k).
     """
-    base_mask = m.full_mask ^ 1 << e
+    base_mask = (m.full_mask if kmask is None else kmask) & ~(1 << e)
     els = elements_of(base_mask)
     ne = len(els)
-    r = m.r(base_mask)
+    rc = m.r(cmask)
+    r = m.r(cmask | base_mask) - rc
     k = r + 1
     if ne != k * (k - 1) // 2:
         raise PreconditionError(
             f"base has {ne} elements but rank {r}; not a clique")
-    classes, loops = _point_classes(m.r, 0, els)
+    classes, loops = _point_classes(m.r, cmask, els)
     if loops or len(classes) != ne:
         raise PreconditionError("base is not simple")
     if r < 2:  # K1 has no edge and K2 one
-        return k, [None if x == e else (0, 1) for x in range(m.size)]
+        return k, [(0, 1) if base_mask >> x & 1 else None
+                   for x in range(m.size)]
 
     def partners(c: int) -> dict[int, int]:
-        """Each base element in a 2-element class of m / c, to the other."""
+        """Each base element paired in m / (C + c), to its partner."""
         rest = [x for x in els if x != c]
-        return {x: y for cls in _point_classes(m.r, 1 << c, rest)[0]
+        return {x: y for cls in _point_classes(m.r, cmask | 1 << c, rest)[0]
                 if len(cls) == 2 for x, y in (cls, cls[::-1])}
 
     e0 = els[0]
@@ -388,7 +392,8 @@ def _clique_realization(m: Matroid, e: int) -> tuple[int, list]:
         raise PreconditionError("base is not a clique: edge labels collide")
     edge_of = {pairs[x]: x for x in els}
     for u, v, w in itertools.combinations(range(k), 3):
-        if m.r(mask_of(edge_of[t] for t in ((u, v), (u, w), (v, w)))) != 2:
+        tri = mask_of(edge_of[t] for t in ((u, v), (u, w), (v, w)))
+        if m.r(cmask | tri) != rc + 2:
             raise PreconditionError("base is not a clique: open triangle")
     return k, pairs
 

@@ -11,6 +11,10 @@ components into a connected (hence modular) hull, and then either
 * peels rank off the hull by single contractions, or
 * contracts a cross edge to merge two components and recurses.
 
+Each level is the view host / C | K, C the elements contracted so far and
+K those kept, read in host labels through the host's own oracle: no level
+builds a minor, and the only one built is the Fano restriction tested.
+
 Every branch appends replayable transcript events (flats found,
 contractions taken) and a successful run returns a minor certificate
 validated against the original matroid's own oracle, by rank and bases.
@@ -20,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from ._bits import elements_of, find, union
+from ._bits import elements_of, find, mask_of, union
 from .constructions import fano, free_ext_clique, square_ext, triangle_ext
 from .core import (Matroid, MinorCertificate, _point_classes, minor_with_map,
                    validate_certificate)
@@ -33,6 +37,7 @@ from .minors import _clique_realization, classify_clique_extension
 _DEPTH_CAP = 12
 
 # pairs[x] is the (u, v) vertex pair of base element x, None for the point
+# and for host elements outside the view
 _Pairs = list
 
 
@@ -53,10 +58,14 @@ def reduce_clique_extension(host: Matroid, e: int, m: int) -> ReductionResult:
 
     ``host`` minus ``e`` must be simple and isomorphic to a clique, and
     ``e`` must sit in a nongraphic position (not a loop, coloop, or
-    parallel element); both are checked.  ``m >= 4`` sets the size of the
-    family member searched for.  The result reports the exact target the
+    parallel element); both are checked, the first by DomainError, the
+    second by PreconditionError.  ``m >= 4`` sets the size of the family
+    member searched for.  The result reports the exact target the
     certificate proves (triangle_ext(m), square_ext(m + 1), or
     free_ext_clique(m)); no normalization across families is attempted.
+
+    Each level is read as host / C | K in host labels (C contracted so
+    far, K kept), so the certificate needs no label maps.
 
     Raises ReductionDidNotClose, carrying the transcript, when no branch
     closes at this scale.
@@ -65,15 +74,13 @@ def reduce_clique_extension(host: Matroid, e: int, m: int) -> ReductionResult:
         raise DomainError("reduction needs m >= 4")
     if not 0 <= e < host.size:
         raise DomainError(f"element {e} out of range")
-    pos = classify_clique_extension(host, e, check_base=False)
+    pos = classify_clique_extension(host, e)
     if pos.graphic:
         raise PreconditionError("extension point is " + (
             f"parallel to element {pos.witness}" if pos.reason == "parallel"
             else f"a {pos.reason}"))
-    _clique_realization(host, e)  # precondition; raises on a non-clique base
     transcript: list[dict] = []
-    keep = tuple(range(host.size))
-    res = _reduce(host, e, m, keep, frozenset(), host, transcript, 0)
+    res = _reduce(host, e, m, 0, host.full_mask, transcript, 0)
     if res is None:
         raise ReductionDidNotClose("reduction did not close at this scale",
                                    transcript=transcript)
@@ -103,79 +110,63 @@ def _set_partitions(k: int):
     yield from rec(0)
 
 
-def _components(fmask: int, pairs: _Pairs) -> list[list[int]]:
-    """Vertex sets of the flat's components, each sorted, by least vertex."""
-    par: dict[int, int] = {}
-    for x in elements_of(fmask):
-        u, v = pairs[x]
-        par.setdefault(u, u)
-        par.setdefault(v, v)
-        union(par, u, v)
-    groups: dict[int, list[int]] = {}
-    for v in par:
-        groups.setdefault(find(par, v), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
 # ---------------------------------------------------------------------------
 # search
 
 
-def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
-            c_acc: frozenset, root: Matroid, transcript: list[dict],
-            depth: int) -> Optional[ReductionResult]:
+def _reduce(host: Matroid, e: int, m: int, cmask: int, kmask: int,
+            transcript: list[dict], depth: int
+            ) -> Optional[ReductionResult]:
+    """One level of the search on the view host / cmask | kmask."""
     if depth > _DEPTH_CAP:
         transcript.append({"event": "dead-end", "depth": depth,
                            "reason": "depth cap"})
         return None
     try:
-        k, pairs = _clique_realization(cur, e)
+        k, pairs = _clique_realization(host, e, cmask, kmask)
     except PreconditionError as exc:
         transcript.append({"event": "dead-end", "depth": depth,
                            "reason": str(exc)})
         return None
-    edge_of = {pairs[x]: x for x in range(cur.size) if pairs[x] is not None}
+    edge_of = {uv: x for x, uv in enumerate(pairs) if uv is not None}
     ebit = 1 << e
+    rc = host.r(cmask)
 
-    # flats of the base are the vertex partitions; keep those spanning e
-    spanning: list[tuple[int, int]] = []
+    # flats of the base are the vertex partitions, whose blocks of two or
+    # more vertices are the flat's components; keep those spanning e
+    spanning: list[tuple[int, int, list]] = []
     for blocks in _set_partitions(k):
         fmask = 0
         for b in blocks:
-            if len(b) >= 2:
-                for u, v in itertools.combinations(b, 2):
-                    fmask |= 1 << edge_of[(u, v)]
-        if fmask == 0:
-            continue
+            for uv in itertools.combinations(b, 2):
+                fmask |= 1 << edge_of[uv]
         rank = k - len(blocks)
-        if cur.r(fmask | ebit) == rank:
-            spanning.append((rank, fmask))
-    spanning.sort()
-    minimal: list[tuple[int, int]] = []
-    for rank, fmask in spanning:
-        if not any(g & ~fmask == 0 for _, g in minimal):
-            minimal.append((rank, fmask))
+        if fmask and host.r(cmask | fmask | ebit) - rc == rank:
+            comps = [tuple(b) for b in blocks if len(b) >= 2]
+            spanning.append((rank, fmask, comps))
+    spanning.sort()  # by rank, then mask; masks are distinct
+    minimal: list[tuple[int, int, list]] = []
+    for flat in spanning:
+        if not any(g & ~flat[1] == 0 for _, g, _ in minimal):
+            minimal.append(flat)
     if not minimal:
         transcript.append({"event": "dead-end", "depth": depth,
                            "reason": "no flat spans the point"})
         return None
     transcript.append({
         "event": "minimal-flats", "depth": depth,
-        "flats": [sorted(keep[x] for x in elements_of(g)) for _, g in minimal],
-        "ranks": [rank for rank, _ in minimal],
+        "flats": [list(elements_of(g)) for _, g, _ in minimal],
+        "ranks": [rank for rank, _, _ in minimal],
     })
-    r_f, fsel = minimal[0]
-    comps = _components(fsel, pairs)
+    r_f, fsel, comps = minimal[0]
     t = len(comps)
     vset = sorted(v for c in comps for v in c)
-    fhat = 0
-    for u, v in itertools.combinations(vset, 2):
-        fhat |= 1 << edge_of[(u, v)]
+    fhat = mask_of(edge_of[uv] for uv in itertools.combinations(vset, 2))
     rhat = len(vset) - 1
-    corank = cur.full_rank() - rhat
+    corank = k - 1 - rhat  # e is no coloop, so the view has rank k - 1
     transcript.append({
         "event": "selected-flat", "depth": depth,
-        "elements": sorted(keep[x] for x in elements_of(fsel)),
+        "elements": list(elements_of(fsel)),
         "rank": r_f, "components": [len(c) for c in comps],
         "hull-rank": rhat, "corank": corank,
     })
@@ -188,27 +179,24 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
             leaf = _clique_leaf("triangle", triangle_ext, m, comps[0], e, k,
                                 edge_of)
             if leaf is not None:
-                return _finish(root, keep, c_acc, transcript, depth, m, *leaf)
+                return _finish(host, cmask, transcript, depth, m, *leaf)
         if rhat == 3:
-            outside = [x for x in range(cur.size)
-                       if x != e and not (1 << x) & fhat]
-            sub, _ = minor_with_map(cur, (), outside)
+            outside = host.full_mask & ~(cmask | fhat | ebit)
+            sub, _ = minor_with_map(host, elements_of(cmask),
+                                    elements_of(outside))
             if is_isomorphic(sub, fano()):
                 leaf = _clique_leaf("square", square_ext, m + 1, vset, e, k,
                                     edge_of)
                 if leaf is not None:
-                    return _finish(root, keep, c_acc, transcript, depth, m,
-                                   *leaf)
+                    return _finish(host, cmask, transcript, depth, m, *leaf)
         if rhat >= 3:
-            for f in sorted(elements_of(fhat)):
-                child = _child(cur, e, keep, c_acc, (f,), ())
+            for f in elements_of(fhat):
+                child = _child(host, e, cmask, kmask, (f,), 0)
                 if child is None:
                     continue
                 transcript.append({"event": "contract", "depth": depth,
-                                   "element": keep[f]})
-                h2, e2, keep2, c2 = child
-                res = _reduce(h2, e2, m, keep2, c2, root, transcript,
-                              depth + 1)
+                                   "element": f})
+                res = _reduce(host, e, m, *child, transcript, depth + 1)
                 if res is not None:
                     return res
     else:
@@ -219,7 +207,7 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
     for comp in comps:
         if len(comp) - 1 >= m - 1:
             leaf = _free_leaf(e, comp, comps, fsel, m, pairs, edge_of)
-            return _finish(root, keep, c_acc, transcript, depth, m, *leaf)
+            return _finish(host, cmask, transcript, depth, m, *leaf)
 
     # merge the first two components across a cross edge and recurse
     if t >= 2:
@@ -228,15 +216,11 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
         cset = [cross]
         for comp in comps[2:]:
             cset.extend(_tree_edges(comp, fsel, pairs))
-        dels = [x for x in range(cur.size)
-                if x != e and not (1 << x) & fhat]
-        child = _child(cur, e, keep, c_acc, tuple(cset), tuple(dels))
+        child = _child(host, e, cmask, kmask, cset, kmask & ~(fhat | ebit))
         if child is not None:
             transcript.append({"event": "cross-edge", "depth": depth,
-                               "element": keep[cross],
-                               "contracted": sorted(keep[x] for x in cset)})
-            h2, e2, keep2, c2 = child
-            res = _reduce(h2, e2, m, keep2, c2, root, transcript, depth + 1)
+                               "element": cross, "contracted": sorted(cset)})
+            res = _reduce(host, e, m, *child, transcript, depth + 1)
             if res is not None:
                 return res
 
@@ -245,23 +229,20 @@ def _reduce(cur: Matroid, e: int, m: int, keep: tuple[int, ...],
     return None
 
 
-def _child(cur: Matroid, e: int, keep: tuple[int, ...], c_acc: frozenset,
-           cset: tuple[int, ...], dels: tuple[int, ...]):
-    """Contract cset, delete dels, then simplify the base keeping e.
+def _child(host: Matroid, e: int, cmask: int, kmask: int, cset: Iterable[int],
+           dmask: int) -> Optional[tuple[int, int]]:
+    """The view after contracting cset and deleting dmask, simplified by
+    one class pass that keeps each parallel class's least element.
 
-    Returns (child, e', keep', c_acc') or None when the point degenerates.
+    Returns its (cmask, kmask), or None when e turns a loop or parallel to
+    another element. e never turns a coloop: it lies in the closure of the
+    selected flat, which both branches keep, less what they contract.
     """
-    mc, keepc = minor_with_map(cur, cset, dels)
-    e_mc = keepc.index(e)
-    if classify_clique_extension(mc, e_mc, check_base=False).graphic:
+    c2 = cmask | mask_of(cset)
+    classes, _ = _point_classes(host.r, c2, elements_of(kmask & ~c2 & ~dmask))
+    if (e,) not in classes:
         return None
-    classes, junk = _point_classes(
-        mc.r, 0, (x for x in range(mc.size) if x != e_mc))
-    junk += [x for cls in classes for x in cls[1:]]
-    h2, keep2 = minor_with_map(mc, (), junk)
-    keep_out = tuple(keep[keepc[j]] for j in keep2)
-    c_out = c_acc | {keep[x] for x in cset}
-    return h2, keep2.index(e_mc), keep_out, c_out
+    return c2, mask_of(cls[0] for cls in classes)
 
 
 def _tree_edges(comp: list[int], fmask: int, pairs: _Pairs) -> list[int]:
@@ -269,7 +250,7 @@ def _tree_edges(comp: list[int], fmask: int, pairs: _Pairs) -> list[int]:
     par = {v: v for v in comp}
     cs = set(comp)
     out = []
-    for x in sorted(elements_of(fmask)):
+    for x in elements_of(fmask):
         u, v = pairs[x]
         if u in cs and v in cs and union(par, u, v):
             out.append(x)
@@ -287,7 +268,8 @@ def _clique_leaf(kind: str, family, size: int, core: list[int], e: int,
     worder = (sorted(core) + [v for v in range(k) if v not in core])[:size]
     if len(worder) < size:
         return None
-    mapping = _clique_mapping(worder, size, edge_of)
+    mapping = [(i, edge_of[(min(u, v), max(u, v))])
+               for i, (u, v) in enumerate(itertools.combinations(worder, 2))]
     mapping.append((size * (size - 1) // 2, e))
     return kind, family(size), (), mapping
 
@@ -321,24 +303,16 @@ def _free_leaf(e: int, comp: list[int], comps: list[list[int]], fmask: int,
     return "free", free_ext_clique(m), tuple(cset), mapping
 
 
-def _clique_mapping(worder: list[int], m: int, edge_of: dict) -> list:
-    out = []
-    for i, (a, b) in enumerate(itertools.combinations(range(m), 2)):
-        u, v = worder[a], worder[b]
-        out.append((i, edge_of[(u, v) if u < v else (v, u)]))
-    return out
-
-
-def _finish(root: Matroid, keep: tuple[int, ...], c_acc: frozenset,
-            transcript: list[dict], depth: int, m: int, kind: str,
-            target: Matroid, cset: tuple[int, ...],
+def _finish(host: Matroid, cmask: int, transcript: list[dict], depth: int,
+            m: int, kind: str, target: Matroid, cset: tuple[int, ...],
             mapping: list) -> ReductionResult:
-    contract = frozenset(c_acc | {keep[x] for x in cset})
-    pairs = tuple(sorted((ti, keep[h]) for ti, h in mapping))
-    image = {h for _, h in pairs}
-    delete = frozenset(set(range(root.size)) - contract - image)
-    cert = MinorCertificate(contract, delete, pairs)
-    if not validate_certificate(cert, root, target):
+    contract = cmask | mask_of(cset)
+    image = mask_of(h for _, h in mapping)
+    cert = MinorCertificate(
+        frozenset(elements_of(contract)),
+        frozenset(elements_of(host.full_mask & ~(contract | image))),
+        tuple(sorted(mapping)))
+    if not validate_certificate(cert, host, target):
         raise RuntimeError("reduction built an invalid certificate")
     transcript.append({"event": "leaf", "depth": depth, "family": kind,
                        "target": target.name, "validated": True})

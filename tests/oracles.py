@@ -747,3 +747,224 @@ def spike_split_minors(m, spike_elements, e):
                 return (tuple(keep[x] for x in range(mc.size) if s1 >> x & 1),
                         tuple(keep[x] for x in range(mc.size) if s2 >> x & 1))
     return None
+
+
+# ---------------------------------------------------------------------------
+# clique-extension reduction through minors: every level builds the minor it
+# works on, simplifies it as a second minor, and carries host labels through
+# keep maps. The plain form of matroidkit's reduction, which reads each
+# level as host / C | K in host labels. The labelling and the leaves are
+# the package's; what differs is how a level is read and labels travel.
+
+
+def reduce_by_minors(host, e: int, m: int):
+    """reduce_clique_extension with a minor per level: the same checks,
+    branches, transcript and certificate, or the same exception type."""
+    from matroidkit import DomainError, PreconditionError, ReductionDidNotClose
+    from matroidkit.minors import _clique_realization
+
+    if m < 4:
+        raise DomainError("reduction needs m >= 4")
+    if not 0 <= e < host.size:
+        raise DomainError(f"element {e} out of range")
+    reason = _trivial_position(host, e)
+    if reason is not None:
+        raise PreconditionError("extension point is " + reason)
+    _clique_realization(host, e)  # precondition; raises on a non-clique base
+    transcript: list[dict] = []
+    keep = tuple(range(host.size))
+    res = _reduce_minors(host, e, m, keep, frozenset(), host, transcript, 0)
+    if res is None:
+        raise ReductionDidNotClose("reduction did not close at this scale",
+                                   transcript=transcript)
+    return res
+
+
+def _trivial_position(m, e: int):
+    """Why e is a graphic extension (a loop, a coloop, or parallel to an
+    element), or None; the base is not checked."""
+    bit = 1 << e
+    if m.r(bit) == 0:
+        return "a loop"
+    if m.r(m.full_mask & ~bit) < m.full_rank():
+        return "a coloop"
+    for f in range(m.size):
+        if f != e and m.r(1 << f) == 1 and m.r(bit | 1 << f) == 1:
+            return f"parallel to element {f}"
+    return None
+
+
+def _flat_components(fmask: int, pairs) -> list[list[int]]:
+    """Vertex sets of the flat's components, each sorted, by least vertex."""
+    groups: list[set[int]] = []
+    for x in range(fmask.bit_length()):
+        if fmask >> x & 1:
+            hit = [g for g in groups if g & set(pairs[x])]
+            merged = set(pairs[x]).union(*hit)
+            groups = [g for g in groups if g not in hit] + [merged]
+    return sorted((sorted(g) for g in groups), key=lambda g: g[0])
+
+
+def _reduce_minors(cur, e, m, keep, c_acc, root, transcript, depth):
+    from matroidkit import fano, is_isomorphic, minor_with_map, square_ext
+    from matroidkit import triangle_ext
+    from matroidkit.errors import PreconditionError
+    from matroidkit.minors import _clique_realization
+    from matroidkit.reduction import (_DEPTH_CAP, _clique_leaf, _free_leaf,
+                                      _set_partitions, _tree_edges)
+
+    def members(mask):
+        return [x for x in range(cur.size) if mask >> x & 1]
+
+    if depth > _DEPTH_CAP:
+        transcript.append({"event": "dead-end", "depth": depth,
+                           "reason": "depth cap"})
+        return None
+    try:
+        k, pairs = _clique_realization(cur, e)
+    except PreconditionError as exc:
+        transcript.append({"event": "dead-end", "depth": depth,
+                           "reason": str(exc)})
+        return None
+    edge_of = {pairs[x]: x for x in range(cur.size) if pairs[x] is not None}
+    ebit = 1 << e
+
+    spanning = []
+    for blocks in _set_partitions(k):
+        fmask = 0
+        for b in blocks:
+            for u, v in itertools.combinations(b, 2):
+                fmask |= 1 << edge_of[(u, v)]
+        if fmask == 0:
+            continue
+        rank = k - len(blocks)
+        if cur.r(fmask | ebit) == rank:
+            spanning.append((rank, fmask))
+    spanning.sort()
+    minimal = []
+    for rank, fmask in spanning:
+        if not any(g & ~fmask == 0 for _, g in minimal):
+            minimal.append((rank, fmask))
+    if not minimal:
+        transcript.append({"event": "dead-end", "depth": depth,
+                           "reason": "no flat spans the point"})
+        return None
+    transcript.append({
+        "event": "minimal-flats", "depth": depth,
+        "flats": [sorted(keep[x] for x in members(g)) for _, g in minimal],
+        "ranks": [rank for rank, _ in minimal],
+    })
+    r_f, fsel = minimal[0]
+    comps = _flat_components(fsel, pairs)
+    t = len(comps)
+    vset = sorted(v for c in comps for v in c)
+    fhat = 0
+    for u, v in itertools.combinations(vset, 2):
+        fhat |= 1 << edge_of[(u, v)]
+    rhat = len(vset) - 1
+    corank = cur.full_rank() - rhat
+    transcript.append({
+        "event": "selected-flat", "depth": depth,
+        "elements": sorted(keep[x] for x in members(fsel)),
+        "rank": r_f, "components": [len(c) for c in comps],
+        "hull-rank": rhat, "corank": corank,
+    })
+
+    if corank >= m - 3:
+        if t == 1 and r_f == 2:
+            leaf = _clique_leaf("triangle", triangle_ext, m, comps[0], e, k,
+                                edge_of)
+            if leaf is not None:
+                return _finish_minors(root, keep, c_acc, transcript, depth,
+                                      m, *leaf)
+        if rhat == 3:
+            outside = [x for x in range(cur.size)
+                       if x != e and not (1 << x) & fhat]
+            sub, _ = minor_with_map(cur, (), outside)
+            if is_isomorphic(sub, fano()):
+                leaf = _clique_leaf("square", square_ext, m + 1, vset, e, k,
+                                    edge_of)
+                if leaf is not None:
+                    return _finish_minors(root, keep, c_acc, transcript,
+                                          depth, m, *leaf)
+        if rhat >= 3:
+            for f in members(fhat):
+                child = _child_minors(cur, e, keep, c_acc, (f,), ())
+                if child is None:
+                    continue
+                transcript.append({"event": "contract", "depth": depth,
+                                   "element": keep[f]})
+                h2, e2, keep2, c2 = child
+                res = _reduce_minors(h2, e2, m, keep2, c2, root, transcript,
+                                     depth + 1)
+                if res is not None:
+                    return res
+    else:
+        transcript.append({"event": "hull-too-large", "depth": depth,
+                           "corank": corank, "needed": m - 3})
+
+    for comp in comps:
+        if len(comp) - 1 >= m - 1:
+            leaf = _free_leaf(e, comp, comps, fsel, m, pairs, edge_of)
+            return _finish_minors(root, keep, c_acc, transcript, depth, m,
+                                  *leaf)
+
+    if t >= 2:
+        cross = min(edge_of[(u, v) if u < v else (v, u)]
+                    for u in comps[0] for v in comps[1])
+        cset = [cross]
+        for comp in comps[2:]:
+            cset.extend(_tree_edges(comp, fsel, pairs))
+        dels = [x for x in range(cur.size)
+                if x != e and not (1 << x) & fhat]
+        child = _child_minors(cur, e, keep, c_acc, tuple(cset), tuple(dels))
+        if child is not None:
+            transcript.append({"event": "cross-edge", "depth": depth,
+                               "element": keep[cross],
+                               "contracted": sorted(keep[x] for x in cset)})
+            h2, e2, keep2, c2 = child
+            res = _reduce_minors(h2, e2, m, keep2, c2, root, transcript,
+                                 depth + 1)
+            if res is not None:
+                return res
+
+    transcript.append({"event": "dead-end", "depth": depth,
+                       "reason": "no branch closed"})
+    return None
+
+
+def _child_minors(cur, e, keep, c_acc, cset, dels):
+    """Contract cset, delete dels, then delete the loops and all but the
+    least of each parallel class, as two minors; None when e turns graphic.
+    Returns (child, e', keep', c_acc')."""
+    from matroidkit import minor_with_map
+    from matroidkit.core import _point_classes
+
+    mc, keepc = minor_with_map(cur, cset, dels)
+    e_mc = keepc.index(e)
+    if _trivial_position(mc, e_mc) is not None:
+        return None
+    classes, junk = _point_classes(
+        mc.r, 0, (x for x in range(mc.size) if x != e_mc))
+    junk += [x for cls in classes for x in cls[1:]]
+    h2, keep2 = minor_with_map(mc, (), junk)
+    keep_out = tuple(keep[keepc[j]] for j in keep2)
+    c_out = c_acc | {keep[x] for x in cset}
+    return h2, keep2.index(e_mc), keep_out, c_out
+
+
+def _finish_minors(root, keep, c_acc, transcript, depth, m, kind, target,
+                   cset, mapping):
+    from matroidkit import MinorCertificate, validate_certificate
+    from matroidkit.reduction import ReductionResult
+
+    contract = frozenset(c_acc | {keep[x] for x in cset})
+    pairs = tuple(sorted((ti, keep[h]) for ti, h in mapping))
+    image = {h for _, h in pairs}
+    delete = frozenset(set(range(root.size)) - contract - image)
+    cert = MinorCertificate(contract, delete, pairs)
+    if not validate_certificate(cert, root, target):
+        raise RuntimeError("reduction built an invalid certificate")
+    transcript.append({"event": "leaf", "depth": depth, "family": kind,
+                       "target": target.name, "validated": True})
+    return ReductionResult(kind, target, cert, tuple(transcript), m)

@@ -3,9 +3,11 @@
 import itertools
 import random
 import time
+from typing import Optional
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (Phase, example, find, given, settings,
+                        strategies as st)
 
 from matroidkit import (
     DomainError,
@@ -30,6 +32,7 @@ from matroidkit import (
     is_spike,
     membership_suite,
     minor_with_map,
+    parallel_classes,
     principal_extension,
     rank_table,
     restriction,
@@ -44,6 +47,7 @@ from matroidkit import (
 )
 
 from matroidkit import minors
+from matroidkit._bits import elements_of, mask_of
 from matroidkit.core import same_rank_function
 from matroidkit.minors import _clique_realization
 from matroidkit.representations import GraphRep, LinearRep
@@ -417,8 +421,6 @@ def test_classify_clique_extension_guards():
         classify_clique_extension(clique(4), 99)
     with pytest.raises(DomainError):
         classify_clique_extension(uniform(2, 5), 4)  # base is not a clique
-    out = classify_clique_extension(uniform(2, 5), 4, check_base=False)
-    assert out.reason == "none-of-these"
     with pytest.raises(DomainError):  # a clique's size and rank, not a clique
         classify_clique_extension(direct_sum(uniform(3, 6), uniform(1, 1)), 6)
 
@@ -450,12 +452,14 @@ def test_classify_clique_extension_small_and_large_bases(name, m, e, reason,
 def clique_shaped_bases(draw):
     """Matroids of at most 10 elements with the size of a clique: relabelled
     cliques, cliques with an edge doubled or moved, uniform matroids,
-    truncations and random GF(2)/GF(3) matrices of a clique's rank."""
+    truncations, random GF(2)/GF(3) matrices of a clique's rank, and simple
+    ones (distinct projective columns), which reach the labelling's late
+    checks: star split, label collision and open triangle."""
     k = draw(st.integers(1, 5))
     edges = list(itertools.combinations(range(k), 2))
     n, r = len(edges), k - 1
     kind = draw(st.sampled_from(("clique", "doubled", "moved", "uniform",
-                                 "truncation", "matrix")))
+                                 "truncation", "matrix", "simple")))
     p = draw(st.sampled_from((2, 3)))
     if kind == "clique":
         perm = draw(st.permutations(range(k)))
@@ -469,6 +473,12 @@ def clique_shaped_bases(draw):
         return from_graph(k + 1, edges)
     if kind == "uniform" and n:
         return uniform(r, n)
+    if kind == "simple" and n:
+        points = [v for v in itertools.product(range(p), repeat=r)
+                  if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+        columns = draw(st.lists(st.sampled_from(points), min_size=n,
+                                max_size=n, unique=True))
+        return from_matrix([list(row) for row in zip(*columns)], p)
     rows = k if kind == "truncation" else r
     matrix = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
                                     max_size=n), min_size=rows, max_size=rows))
@@ -490,6 +500,25 @@ def test_clique_labelling_matches_reference(base):
         assert is_clique(base)
         assert same_rank_function(base, from_graph(k, pairs[:base.size]))
         assert classify_clique_extension(m, base.size).reason == "coloop"
+
+
+def _refusal(base) -> Optional[str]:
+    """Why _clique_realization refuses base as a clique, or None."""
+    try:
+        _clique_realization(direct_sum(base, uniform(1, 1)), base.size)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("check", ["bad star split", "edge labels collide",
+                                   "open triangle"])
+def test_clique_shaped_bases_reach_the_late_checks(check):
+    # the simple matrices pass the size and simplicity checks, so the
+    # strategy draws bases that only the later checks refuse
+    find(clique_shaped_bases(), lambda base: check in (_refusal(base) or ""),
+         settings=settings(max_examples=2000, database=None,
+                           derandomize=True, phases=[Phase.generate]))
 
 
 def _relabelled_clique_point(k: int):
@@ -518,6 +547,56 @@ def test_clique_labels_match_the_triangle_labelling(case):
             _clique_realization(m, e)
     else:
         assert _clique_realization(m, e) == expected
+
+
+def _simplified_view(m, e: int, contract: tuple[int, ...]):
+    """(m, e, C, K): C the given elements and K the least element of each
+    parallel class of m / C."""
+    mc, keep = minor_with_map(m, contract, ())
+    return (m, e, mask_of(contract),
+            mask_of(keep[cls[0]] for cls in parallel_classes(mc)))
+
+
+@st.composite
+def clique_views(draw):
+    """(m, e, C, K): a clique-shaped base or a relabelled K4-K6 plus a
+    coloop e, C a drawn set of base elements, and K with e either the least
+    element of each parallel class of m / C or a drawn set outside C."""
+    base = draw(st.one_of(clique_shaped_bases(), st.integers(4, 6).flatmap(
+        lambda k: st.permutations(list(itertools.combinations(range(k), 2)))
+        .map(lambda edges: from_graph(k, edges)))))
+    m, e = direct_sum(base, uniform(1, 1)), base.size
+    cmask = mask_of(draw(st.lists(st.integers(0, e - 1), max_size=2))
+                    if e else ())
+    rest = [x for x in range(e) if not cmask >> x & 1]
+    if draw(st.booleans()):
+        kmask = _simplified_view(m, e, elements_of(cmask))[3]
+    else:
+        kmask = mask_of(draw(st.lists(st.sampled_from(rest), unique=True))
+                        if rest else ())
+    return m, e, cmask, kmask | 1 << e
+
+
+@settings(max_examples=200, deadline=None)
+@given(clique_views())
+@example(_simplified_view(*_relabelled_clique_point(6), (0,)))
+@example(_simplified_view(*_relabelled_clique_point(7), (0, 1)))
+@example(_simplified_view(free_ext_clique(6), 15, (0,)))  # e no coloop
+def test_clique_labels_of_a_view_match_the_minor(case):
+    # (m / C) | K read in m's labels gives the minor's labels carried back
+    m, e, cmask, kmask = case
+    mc, keep = minor_with_map(m, elements_of(cmask),
+                              elements_of(m.full_mask & ~(cmask | kmask)))
+    try:
+        k, pairs = _clique_realization(mc, keep.index(e))
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            _clique_realization(m, e, cmask, kmask)
+    else:
+        expected = [None] * m.size
+        for i, uv in enumerate(pairs):
+            expected[keep[i]] = uv
+        assert _clique_realization(m, e, cmask, kmask) == (k, expected)
 
 
 def test_clique_labelling_reads_few_masks_on_a_k8_base():

@@ -3,15 +3,20 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matroidkit import (
     DomainError,
+    Matroid,
+    MatroidError,
     PreconditionError,
     ReductionDidNotClose,
     ResourceLimitError,
     clique,
     direct_sum,
     free_ext_clique,
+    from_graph,
+    minor_with_map,
     principal_extension,
     reduce_clique_extension,
     square_ext,
@@ -19,6 +24,8 @@ from matroidkit import (
     uniform,
     validate_certificate,
 )
+from matroidkit import reduction
+from oracles import reduce_by_minors
 
 
 CANONICAL = [
@@ -115,3 +122,79 @@ def test_reduction_rejects_non_clique_base():
     host = principal_extension(uniform(3, 6), [0, 1])
     with pytest.raises((DomainError, PreconditionError)):
         reduce_clique_extension(host, host.size - 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the host-label search against the minor-building reference
+
+
+def _point_on(k: int, blocks, edges=None):
+    """A principal point on the vertex-partition flat of K_k whose blocks
+    are given, over the edges in the given order (lexicographic by
+    default); the point is the last element."""
+    edges = edges or list(itertools.combinations(range(k), 2))
+    flat = [i for i, (u, v) in enumerate(edges)
+            if any(u in b and v in b for b in blocks)]
+    return principal_extension(from_graph(k, edges), flat)
+
+
+@st.composite
+def clique_extension_cases(draw):
+    """(host, m): a relabelled K4-K6 with a principal point on a drawn
+    vertex-partition flat, or that host's bare twin, and m in 4..6."""
+    k = draw(st.integers(4, 6))
+    perm = draw(st.permutations(range(k)))
+    edges = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in
+             draw(st.permutations(list(itertools.combinations(range(k), 2))))]
+    block_of = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    blocks = [{v for v in range(k) if block_of[v] == b} for b in range(k)]
+    host = _point_on(k, blocks, edges)
+    if draw(st.booleans()):
+        host = Matroid(host.size, host._rank_mask)
+    return host, draw(st.integers(4, 6))
+
+
+def _outcome(reduce, host, e, m):
+    try:
+        res = reduce(host, e, m)
+    except ReductionDidNotClose as exc:
+        return "did-not-close", exc.transcript
+    except MatroidError as exc:
+        return "error", type(exc)
+    return res.kind, res.target.name, res.certificate, res.transcript
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_extension_cases())
+@example((_point_on(4, [{0, 1}, {2, 3}]), 4))  # cross-edge, triangle leaf
+@example((_point_on(5, [{0, 1, 2, 3}]), 4))  # contract, triangle leaf
+@example((_point_on(4, [{0, 1, 2, 3}]), 4))  # hull too large, free leaf
+@example((_point_on(4, [{0, 1, 2, 3}]), 5))  # no branch closed
+@example((_point_on(6, [{0, 1}, {2, 3}]), 4))  # the K6 matching point
+@example((_point_on(4, [{0, 1}]), 4))  # parallel: PreconditionError
+@example((square_ext(6), 4))  # square leaf
+@example((triangle_ext(5), 6))
+def test_reduction_matches_the_minor_reference(case):
+    host, m = case
+    e = host.size - 1
+    assert (_outcome(reduce_clique_extension, host, e, m)
+            == _outcome(reduce_by_minors, host, e, m))
+
+
+@pytest.mark.parametrize("host,calls", [
+    (triangle_ext(6), 0),
+    (free_ext_clique(8), 0),
+    (square_ext(6), 1),
+    (_point_on(6, [{0, 1}, {2, 3}]), 1),  # its depth-1 hull has rank 3
+], ids=["triangle", "free", "square", "matching"])
+def test_reduction_builds_a_minor_only_for_the_fano_check(monkeypatch, host,
+                                                          calls):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return minor_with_map(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "minor_with_map", counting)
+    reduce_clique_extension(host, host.size - 1, 4)
+    assert len(built) == calls
