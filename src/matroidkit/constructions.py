@@ -19,7 +19,6 @@ from .core import (
     check_size,
     closure_mask,
     contract,
-    rank_reader,
 )
 from .errors import DomainError, PreconditionError
 from .representations import (
@@ -314,11 +313,14 @@ def spike(r: int) -> Matroid:
 def is_spike(m: Matroid) -> Optional[SpikeDecomposition]:
     """Search for a spike decomposition; None if the matroid is not a spike.
 
-    Reads m through rank_reader, in m's labels. Tries every parallel class
-    as the tip set T and pairs the rest by the rank-2 flats through T; the
-    firsts of the pairs must then be a circuit of M/T.
+    Reads m in m's labels, from its rank table when one is cached, else
+    through m.r: the search makes O(n^2) reads, so building the 2^n table
+    for it would cost more than it saves. Tries every parallel class as the
+    tip set T and pairs the rest by the rank-2 flats through T; the firsts
+    of the pairs must then be a circuit of M/T.
     """
-    return _spike(rank_reader(m), 0, range(m.size))
+    r = m.r if m._table is None else m._table.tobytes().__getitem__
+    return _spike(r, 0, range(m.size))
 
 
 def _spike(r: Callable[[int], int], cmask: int, elements: Iterable[int]

@@ -153,29 +153,18 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
                                   location=f"{loc}.rows[{i}]")
             matrix.append(got)
         cols = tuple(tuple(r[j] for r in matrix) for j in range(n_cols))
-        try:
-            rep = LinearRep(prime, len(matrix), cols)
-        except ResourceLimitError:
-            raise
-        except Exception as exc:
-            raise FormatError(str(exc), location=loc) from exc
+        rep = _construct(loc, LinearRep, prime, len(matrix), cols)
         return rep.matroid(name=name)
 
     if kind in ("graph", "even-cycle", "signed-graph"):
         nv = _need(obj, "n_vertices", int, loc)
         edges = _edge_list(obj, loc)
-        if kind != "graph":
+        if kind == "graph":
+            rep = _construct(loc, GraphRep, nv, tuple(edges))
+        else:
             odd = frozenset(_int_list(obj.get("odd", []), f"{loc}.odd"))
-        try:
-            if kind == "graph":
-                rep = GraphRep(nv, tuple(edges))
-            else:
-                cls = EvenCycleRep if kind == "even-cycle" else SignedGraphRep
-                rep = cls(nv, tuple(edges), odd)
-        except ResourceLimitError:
-            raise
-        except Exception as exc:
-            raise FormatError(str(exc), location=loc) from exc
+            cls = EvenCycleRep if kind == "even-cycle" else SignedGraphRep
+            rep = _construct(loc, cls, nv, tuple(edges), odd)
         return rep.matroid(name=name)
 
     if kind == "recipe":
@@ -194,6 +183,17 @@ def _build(obj, loc: str, depth: int = 0) -> Matroid:
     raise FormatError(f"unknown kind {kind!r}", location=f"{loc}.kind")
 
 
+def _construct(loc: str, make, *args):
+    """make(*args), with any error it raises reported as a FormatError at
+    loc; a FormatError or ResourceLimitError passes unchanged."""
+    try:
+        return make(*args)
+    except (FormatError, ResourceLimitError):
+        raise
+    except Exception as exc:
+        raise FormatError(str(exc), location=loc) from exc
+
+
 def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matroid:
     def arity(k: int):
         if len(args) != k:
@@ -210,7 +210,7 @@ def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matro
                               location=f"{loc}.params.{key}")
         return v
 
-    try:
+    def make() -> Matroid:
         if op == "uniform":
             arity(0)
             return uniform(param("r"), param("n"))
@@ -239,11 +239,9 @@ def _apply_recipe(op: str, args: list[Matroid], params: dict, loc: str) -> Matro
             deleted = _int_list(param("delete", list), f"{loc}.params.delete")
             n, _ = minor_with_map(args[0], contract, deleted)
             return n
-    except (FormatError, ResourceLimitError):
-        raise
-    except Exception as exc:
-        raise FormatError(str(exc), location=loc) from exc
-    raise FormatError(f"unknown recipe op {op!r}", location=f"{loc}.op")
+        raise FormatError(f"unknown recipe op {op!r}", location=f"{loc}.op")
+
+    return _construct(loc, make)
 
 
 def deserialize(text: str) -> Matroid:

@@ -12,8 +12,9 @@ components into a connected (hence modular) hull, and then either
 * contracts a cross edge to merge two components and recurses.
 
 Each level is the view host / C | K, C the elements contracted so far and
-K those kept, read in host labels through the host's own oracle: no level
-builds a minor, and the only one built is the Fano restriction tested.
+K those kept, read in host labels through the host's own oracle, so no
+minor is built: even the Fano plane the square leaf needs is told by
+three rank reads.
 
 Every branch appends replayable transcript events (flats found,
 contractions taken) and a successful run returns a minor certificate
@@ -27,19 +28,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._bits import elements_of, find, mask_of, union
-from .constructions import fano, free_ext_clique, square_ext, triangle_ext
-from .core import (Matroid, MinorCertificate, _point_classes, minor_with_map,
+from .constructions import free_ext_clique, square_ext, triangle_ext
+from .core import (Matroid, MinorCertificate, _point_classes,
                    validate_certificate)
 from .errors import DomainError, PreconditionError, ReductionDidNotClose
-from .isomorphism import is_isomorphic
 from .minors import _clique_realization, classify_clique_extension
-
-_DEPTH_CAP = 12
-
-# pairs[x] is the (u, v) vertex pair of base element x, None for the point
-# and for host elements outside the view
-_Pairs = list
-
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -88,46 +81,47 @@ def reduce_clique_extension(host: Matroid, e: int, m: int) -> ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# base structure
+# search
 
 
-def _set_partitions(k: int):
-    """Yield set partitions of range(k) as live lists of blocks."""
+def _partition_flats(k: int, edge_of: dict):
+    """Yield each set partition of range(k) as (blocks, fmask): blocks a
+    live list of vertex lists, fmask the base elements inside the blocks.
+    The mask is carried down the walk: v joining block b adds the edges
+    (u, v), u in b."""
+    bit = [[1 << edge_of[(u, v)] for u in range(v)] for v in range(k)]
     blocks: list[list[int]] = []
 
-    def rec(v: int):
+    def walk(v: int, fmask: int):
         if v == k:
-            yield blocks
+            yield blocks, fmask
             return
         for b in blocks:
+            grown = fmask
+            for u in b:
+                grown |= bit[v][u]
             b.append(v)
-            yield from rec(v + 1)
+            yield from walk(v + 1, grown)
             b.pop()
         blocks.append([v])
-        yield from rec(v + 1)
+        yield from walk(v + 1, fmask)
         blocks.pop()
 
-    yield from rec(0)
-
-
-# ---------------------------------------------------------------------------
-# search
+    yield from walk(0, 0)
 
 
 def _reduce(host: Matroid, e: int, m: int, cmask: int, kmask: int,
             transcript: list[dict], depth: int
             ) -> Optional[ReductionResult]:
-    """One level of the search on the view host / cmask | kmask."""
-    if depth > _DEPTH_CAP:
-        transcript.append({"event": "dead-end", "depth": depth,
-                           "reason": "depth cap"})
-        return None
-    try:
-        k, pairs = _clique_realization(host, e, cmask, kmask)
-    except PreconditionError as exc:
-        transcript.append({"event": "dead-end", "depth": depth,
-                           "reason": str(exc)})
-        return None
+    """One level of the search on the view host / cmask | kmask.
+
+    Every view is a clique extension: depth 0 is certified, and a child
+    contracts a forest F of the base and simplifies, leaving M(K_{k-|F|})
+    with e no loop, coloop or parallel element (_child). So the labelling
+    never refuses, the whole base always spans e, and as each level
+    contracts a nonloop the depth is at most the host's rank.
+    """
+    k, pairs = _clique_realization(host, e, cmask, kmask)
     edge_of = {uv: x for x, uv in enumerate(pairs) if uv is not None}
     ebit = 1 << e
     rc = host.r(cmask)
@@ -135,11 +129,7 @@ def _reduce(host: Matroid, e: int, m: int, cmask: int, kmask: int,
     # flats of the base are the vertex partitions, whose blocks of two or
     # more vertices are the flat's components; keep those spanning e
     spanning: list[tuple[int, int, list]] = []
-    for blocks in _set_partitions(k):
-        fmask = 0
-        for b in blocks:
-            for uv in itertools.combinations(b, 2):
-                fmask |= 1 << edge_of[uv]
+    for blocks, fmask in _partition_flats(k, edge_of):
         rank = k - len(blocks)
         if fmask and host.r(cmask | fmask | ebit) - rc == rank:
             comps = [tuple(b) for b in blocks if len(b) >= 2]
@@ -149,10 +139,6 @@ def _reduce(host: Matroid, e: int, m: int, cmask: int, kmask: int,
     for flat in spanning:
         if not any(g & ~flat[1] == 0 for _, g, _ in minimal):
             minimal.append(flat)
-    if not minimal:
-        transcript.append({"event": "dead-end", "depth": depth,
-                           "reason": "no flat spans the point"})
-        return None
     transcript.append({
         "event": "minimal-flats", "depth": depth,
         "flats": [list(elements_of(g)) for _, g, _ in minimal],
@@ -180,11 +166,14 @@ def _reduce(host: Matroid, e: int, m: int, cmask: int, kmask: int,
                                 edge_of)
             if leaf is not None:
                 return _finish(host, cmask, transcript, depth, m, *leaf)
+        # the hull is M(K4) plus e in its plane: F7, the one simple rank-3
+        # matroid on 7 points with every two on a 3-point line, exactly
+        # when e is on the line of each two disjoint edges
         if rhat == 3:
-            outside = host.full_mask & ~(cmask | fhat | ebit)
-            sub, _ = minor_with_map(host, elements_of(cmask),
-                                    elements_of(outside))
-            if is_isomorphic(sub, fano()):
+            a, b, c, d = vset
+            lines = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+            if all(host.r(cmask | ebit | 1 << edge_of[x] | 1 << edge_of[y])
+                   == rc + 2 for x, y in lines):
                 leaf = _clique_leaf("square", square_ext, m + 1, vset, e, k,
                                     edge_of)
                 if leaf is not None:
@@ -245,7 +234,7 @@ def _child(host: Matroid, e: int, cmask: int, kmask: int, cset: Iterable[int],
     return c2, mask_of(cls[0] for cls in classes)
 
 
-def _tree_edges(comp: list[int], fmask: int, pairs: _Pairs) -> list[int]:
+def _tree_edges(comp: list[int], fmask: int, pairs: list) -> list[int]:
     """Lex-least spanning tree of one component, as host elements."""
     par = {v: v for v in comp}
     cs = set(comp)
@@ -275,7 +264,7 @@ def _clique_leaf(kind: str, family, size: int, core: list[int], e: int,
 
 
 def _free_leaf(e: int, comp: list[int], comps: list[list[int]], fmask: int,
-               m: int, pairs: _Pairs, edge_of: dict) -> tuple:
+               m: int, pairs: list, edge_of: dict) -> tuple:
     tree = _tree_edges(comp, fmask, pairs)
     kept, contracted = tree[:m - 1], tree[m - 1:]
     cset = list(contracted)

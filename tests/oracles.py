@@ -754,7 +754,8 @@ def spike_split_minors(m, spike_elements, e):
 # works on, simplifies it as a second minor, and carries host labels through
 # keep maps. The plain form of matroidkit's reduction, which reads each
 # level as host / C | K in host labels. The labelling and the leaves are
-# the package's; what differs is how a level is read and labels travel.
+# the package's; what differs is how a level is read, how labels travel,
+# and that the Fano plane is told by an isomorphism test.
 
 
 def reduce_by_minors(host, e: int, m: int):
@@ -794,6 +795,28 @@ def _trivial_position(m, e: int):
     return None
 
 
+_DEPTH_CAP = 12
+
+
+def _set_partitions(k: int):
+    """Yield set partitions of range(k) as live lists of blocks."""
+    blocks: list[list[int]] = []
+
+    def rec(v: int):
+        if v == k:
+            yield blocks
+            return
+        for b in blocks:
+            b.append(v)
+            yield from rec(v + 1)
+            b.pop()
+        blocks.append([v])
+        yield from rec(v + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
 def _flat_components(fmask: int, pairs) -> list[list[int]]:
     """Vertex sets of the flat's components, each sorted, by least vertex."""
     groups: list[set[int]] = []
@@ -810,8 +833,7 @@ def _reduce_minors(cur, e, m, keep, c_acc, root, transcript, depth):
     from matroidkit import triangle_ext
     from matroidkit.errors import PreconditionError
     from matroidkit.minors import _clique_realization
-    from matroidkit.reduction import (_DEPTH_CAP, _clique_leaf, _free_leaf,
-                                      _set_partitions, _tree_edges)
+    from matroidkit.reduction import _clique_leaf, _free_leaf, _tree_edges
 
     def members(mask):
         return [x for x in range(cur.size) if mask >> x & 1]

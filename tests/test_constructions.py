@@ -194,6 +194,20 @@ def test_spike_decomposition_by_construction():
         assert legs == list(range(1, 2 * r + 1))
 
 
+def test_is_spike_builds_no_rank_table():
+    # O(n^2) reads: a 2^21-entry table would cost megabytes for nothing
+    s = spike(10)
+    tracemalloc.start()
+    try:
+        decomp = is_spike(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decomp is not None and decomp.rank == 10
+    assert s._table is None
+    assert peak < 1 << 20
+
+
 def test_spike_lines_through_tip():
     s = spike(3)
     for i in range(3):

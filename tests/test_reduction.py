@@ -1,6 +1,7 @@
 """Reduction of nongraphic clique extensions to canonical family minors."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +15,11 @@ from matroidkit import (
     ResourceLimitError,
     clique,
     direct_sum,
+    fano,
     free_ext_clique,
     from_graph,
+    from_matrix,
+    is_isomorphic,
     minor_with_map,
     principal_extension,
     reduce_clique_extension,
@@ -25,7 +29,7 @@ from matroidkit import (
     validate_certificate,
 )
 from matroidkit import reduction
-from oracles import reduce_by_minors
+from oracles import _set_partitions, reduce_by_minors
 
 
 CANONICAL = [
@@ -138,6 +142,17 @@ def _point_on(k: int, blocks, edges=None):
     return principal_extension(from_graph(k, edges), flat)
 
 
+def _non_fano(k: int):
+    """K_k in triangle_ext's GF(3) coordinates (star columns b_j, cross
+    columns b_i - b_j) plus the point b1 + b2 - b3, last. The point lies on
+    the lines {01, 23} and {02, 13} but not on {03, 12}, so its rank-3 hull
+    is F7^-, not F7."""
+    cols = [[(v == i) - (v == j) if i else int(v == j) for v in range(1, k)]
+            for i, j in itertools.combinations(range(k), 2)]
+    cols.append([1, 1, -1] + [0] * (k - 4))
+    return from_matrix([[c[r] % 3 for c in cols] for r in range(k - 1)], 3)
+
+
 @st.composite
 def clique_extension_cases(draw):
     """(host, m): a relabelled K4-K6 with a principal point on a drawn
@@ -173,6 +188,7 @@ def _outcome(reduce, host, e, m):
 @example((_point_on(6, [{0, 1}, {2, 3}]), 4))  # the K6 matching point
 @example((_point_on(4, [{0, 1}]), 4))  # parallel: PreconditionError
 @example((square_ext(6), 4))  # square leaf
+@example((_non_fano(5), 4))  # F7^- hull, contract
 @example((triangle_ext(5), 6))
 def test_reduction_matches_the_minor_reference(case):
     host, m = case
@@ -181,20 +197,69 @@ def test_reduction_matches_the_minor_reference(case):
             == _outcome(reduce_by_minors, host, e, m))
 
 
-@pytest.mark.parametrize("host,calls", [
-    (triangle_ext(6), 0),
-    (free_ext_clique(8), 0),
-    (square_ext(6), 1),
-    (_point_on(6, [{0, 1}, {2, 3}]), 1),  # its depth-1 hull has rank 3
+@pytest.mark.parametrize("host", [
+    triangle_ext(6),
+    free_ext_clique(8),
+    square_ext(6),
+    _point_on(6, [{0, 1}, {2, 3}]),  # its depth-1 hull has rank 3
 ], ids=["triangle", "free", "square", "matching"])
-def test_reduction_builds_a_minor_only_for_the_fano_check(monkeypatch, host,
-                                                          calls):
+def test_reduction_builds_no_minor(monkeypatch, host):
+    for name in ("minor_with_map", "is_isomorphic", "fano"):
+        assert not hasattr(reduction, name)
     built = []
 
     def counting(*args, **kwargs):
         built.append(args)
         return minor_with_map(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "minor_with_map", counting)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("matroidkit")
+                and getattr(mod, "minor_with_map", None) is minor_with_map):
+            monkeypatch.setattr(mod, "minor_with_map", counting)
     reduce_clique_extension(host, host.size - 1, 4)
-    assert len(built) == calls
+    assert built == []
+
+
+def test_non_fano_hull_is_not_read_as_the_fano_plane():
+    host = _non_fano(5)
+    e = host.size - 1
+    hull = [i for i, (u, v) in enumerate(itertools.combinations(range(5), 2))
+            if v < 4]
+    plane, _ = minor_with_map(host, (), [x for x in range(e) if x not in hull])
+    assert plane.size == 7 and plane.full_rank() == 3
+    assert not is_isomorphic(plane, fano())
+    res = reduce_clique_extension(host, e, 4)
+    assert (res.kind, res.target.name) == ("triangle", "triangle_ext(4)")
+    assert res.transcript[1]["hull-rank"] == 3
+    assert "contract" in [ev["event"] for ev in res.transcript]
+
+
+def test_partition_walk_carries_each_flat_mask():
+    # the same partitions, in the same order, as the reference walk, each
+    # with the mask a rebuild from its blocks gives
+    for k in range(1, 8):
+        edge_of = {uv: i for i, uv in
+                   enumerate(itertools.combinations(range(k), 2))}
+        walked = [([tuple(b) for b in blocks], fmask) for blocks, fmask
+                  in reduction._partition_flats(k, edge_of)]
+        rebuilt = [([tuple(b) for b in blocks],
+                    sum(1 << edge_of[uv] for b in blocks
+                        for uv in itertools.combinations(b, 2)))
+                   for blocks in _set_partitions(k)]
+        assert walked == rebuilt
+
+
+def _corpus():
+    """Principal points of K4 and K5 on every nonempty vertex-partition
+    flat, the non-Fano hosts and two Fano ones, each at m = 4 and 5."""
+    hosts = [_point_on(k, blocks) for k in (4, 5)
+             for blocks in _set_partitions(k) if len(blocks) < k]
+    hosts += [_non_fano(5), _non_fano(6), square_ext(5), square_ext(6)]
+    return [(host, m) for host in hosts for m in (4, 5)]
+
+
+def test_reduction_corpus_matches_the_minor_reference():
+    for host, m in _corpus():
+        e = host.size - 1
+        assert (_outcome(reduce_clique_extension, host, e, m)
+                == _outcome(reduce_by_minors, host, e, m)), (host, m)
