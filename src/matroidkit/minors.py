@@ -63,8 +63,9 @@ def has_minor(m: Matroid, target: Matroid) -> Optional[MinorCertificate]:
     graph target, for a target represented over m's field, for any other
     host, and for a simplification over TABLE_CAP elements.
 
-    m's ranks are read from its rank table when it is cached or m's
-    provenance builds it, else from m's oracle. Every certificate is
+    m's ranks, and the target's, are read from the rank table when it is
+    cached or the provenance builds it, else from the oracle; a simple
+    target is its own simplification. Every certificate is
     checked against m's own oracle before it is returned, in the oracle's
     batch form when it has one, never through m's table or provenance (see
     validate_certificate), and one that fails raises RuntimeError; a found
@@ -80,10 +81,13 @@ def has_minor(m: Matroid, target: Matroid) -> Optional[MinorCertificate]:
     if dr < 0 or target.size > m.size - dr:
         return None
 
-    t_classes, t_loops = _point_classes(target.r, 0, range(target.size))
-    t_reps = {c[0] for c in t_classes}
-    t_si, _ = minor_with_map(
-        target, (), [e for e in range(target.size) if e not in t_reps])
+    t_classes, t_loops = _point_classes(rank_reader(target), 0,
+                                        range(target.size))
+    t_si = target
+    if len(t_classes) < target.size:
+        t_reps = {c[0] for c in t_classes}
+        t_si, _ = minor_with_map(
+            target, (), [e for e in range(target.size) if e not in t_reps])
     if _outside_host_class(m, target, t_si):
         return None
 
@@ -131,7 +135,8 @@ def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):
     The classes and loops of m / cmask are read through r in m's labels,
     so a contraction set that fails the count tests builds no minor. One
     that passes builds m / cmask restricted to its class representatives,
-    whose element i stands for the i-th class.
+    whose element i stands for the i-th class; when nothing is contracted
+    and every class is a single element, that is m itself.
     """
     rest = [e for e in range(m.size) if not (cmask >> e) & 1]
     classes, loops = _point_classes(r, cmask, rest)
@@ -141,9 +146,11 @@ def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):
                   for tc in t_classes]
     if any(not c for c in candidates):
         return None
-    reps = {cls[0] for cls in classes}
-    si, _ = minor_with_map(m, elements_of(cmask),
-                           [e for e in rest if e not in reps])
+    si = m
+    if cmask or len(classes) < len(rest):
+        reps = {cls[0] for cls in classes}
+        si, _ = minor_with_map(m, elements_of(cmask),
+                               [e for e in rest if e not in reps])
     phi = find_embedding(si, t_si, candidates=candidates)
     if phi is None:
         return None

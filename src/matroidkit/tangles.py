@@ -219,16 +219,38 @@ def induced_tangle(m: Matroid, cert: MinorCertificate, t_n: Tangle) -> Tangle:
 def _lift(flags: np.ndarray, n: int, mapping) -> np.ndarray:
     """The packed family of the n-element host subsets whose trace under
     mapping's (target element, host element) pairs is flagged, with no
-    index array: axis i of flags shaped (2,) * k holds element k - 1 - i,
-    so its axes go in descending host order and broadcast over the rest."""
-    k = flags.size.bit_length() - 1
-    order = sorted(mapping, key=lambda pair: -pair[1])
-    shape = [1] * n
-    for _, h_elem in order:
-        shape[n - 1 - h_elem] = 2
-    lifted = flags.reshape((2,) * k).transpose(
-        [k - 1 - t_elem for t_elem, _ in order]).reshape(shape)
-    return pack(np.broadcast_to(lifted, (2,) * n).reshape(-1))
+    index array.
+
+    Shaped (2,) * n, the host subsets have an axis per host element, in
+    descending order. A run of consecutive unmapped host elements is merged
+    into one axis, and so is a run of host elements h, h - 1, ... mapped to
+    target elements t, t - 1, ..., which is one axis of flags too. The
+    flags' runs are permuted into host order, then each unmapped run
+    repeats what lies inside it, from the innermost out, so every copy
+    moves whole blocks of the inner runs."""
+    image = {h_elem: t_elem for t_elem, h_elem in mapping}
+    runs: list[list] = []  # [least target element or None, length]
+    for h_elem in range(n - 1, -1, -1):
+        t_elem = image.get(h_elem)
+        last = runs[-1] if runs else None
+        if last is not None and (last[0] is None if t_elem is None
+                                 else last[0] == t_elem + 1):
+            last[0] = t_elem
+            last[1] += 1
+        else:
+            runs.append([t_elem, 1])
+    mapped = [i for i, (t_elem, _) in enumerate(runs) if t_elem is not None]
+    by_target = sorted(mapped, key=lambda i: -runs[i][0])
+    out = flags.reshape([1 << runs[i][1] for i in by_target]).transpose(
+        [by_target.index(i) for i in mapped]).reshape(-1)
+    inner = 1  # entries of the runs already spread, per outer index
+    for t_elem, size in reversed(runs):
+        if t_elem is None:
+            out = np.broadcast_to(out.reshape(-1, 1, inner),
+                                  (out.size // inner, 1 << size, inner))
+            out = out.reshape(-1)
+        inner <<= size
+    return pack(out)
 
 
 def clique_minor_tangle(m: Matroid, cert: MinorCertificate, n: int) -> Tangle:

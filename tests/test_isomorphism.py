@@ -1,10 +1,15 @@
+import dataclasses
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matroidkit import (Matroid, clique, direct_sum, fano, find_embedding,
-                        from_matrix, is_isomorphic, restriction, uniform)
+                        from_matrix, is_isomorphic, rank_table, restriction,
+                        uniform)
+from matroidkit import isomorphism
 from matroidkit.constructions import triangle_ext, whirl
 from matroidkit.representations import GraphRep, LinearRep
 from oracles import embedding_all_subsets, iso_brute
@@ -225,3 +230,95 @@ def test_embedding_on_a_linear_host_never_calls_its_oracle():
     assert find_embedding(host, uniform(2, 4)) is not None
     assert find_embedding(host, uniform(2, 5)) is None
     assert calls == []
+
+
+def test_a_clique6_host_with_a_table_never_calls_its_oracle():
+    host = clique(6)
+    oracle, calls = host._rank_mask, []
+    host._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+    perm = random.Random(6).sample(range(15), 15)
+    twin = _relabeled_restriction(clique(6), perm)
+    phi = find_embedding(host, twin)
+    assert phi is not None and calls == []
+    assert phi == embedding_all_subsets(Matroid(15, oracle), twin)
+
+
+def _relabelled_rep(rep, elems):
+    """rep with its element i taken from element elems[i]: a table-backed
+    relabelled restriction."""
+    if isinstance(rep, LinearRep):
+        return dataclasses.replace(
+            rep, columns=tuple(rep.columns[e] for e in elems))
+    return dataclasses.replace(rep, edges=tuple(rep.edges[e] for e in elems))
+
+
+@st.composite
+def edge_embedding_cases(draw):
+    """Embedding inputs at the edges of the search: an empty target, an
+    empty candidate list, candidates that are all placed before their
+    element comes, a target larger than the host, and a relabelled
+    restriction where one side has a rank table and the other has none."""
+    rep = draw(SMALL)
+    host = rep.matroid()
+    n = host.size
+    kind = draw(st.sampled_from(["empty-target", "empty-candidates",
+                                 "all-used", "larger-target", "bare-target",
+                                 "bare-host"]))
+    perm = draw(st.permutations(range(n)))
+    target = _relabelled_rep(rep, perm[:draw(st.integers(1, n))]).matroid()
+    candidates = None
+    if kind == "empty-target":
+        target = restriction(target, ())
+        if draw(st.booleans()):
+            target = Matroid(0, target._rank_mask)
+    elif kind == "empty-candidates":
+        candidates = [draw(st.lists(st.integers(0, n - 1), unique=True))
+                      for _ in range(target.size)]
+        candidates[draw(st.integers(0, target.size - 1))] = []
+    elif kind == "all-used":
+        assume(target.size >= 2)
+        candidates = [[draw(st.integers(0, n - 1))]] * target.size
+    elif kind == "larger-target":
+        assume(n >= 2)
+        target = host
+        host = restriction(host, range(draw(st.integers(0, n - 1))))
+    elif kind == "bare-target":
+        target = Matroid(target.size, target._rank_mask)
+    else:
+        host = Matroid(n, host._rank_mask)
+    return host, target, candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_embedding_cases())
+def test_edge_cases_match_the_all_subsets_search(case):
+    host, target, candidates = case
+    phi = embedding_all_subsets(Matroid(host.size, host._rank_mask),
+                                Matroid(target.size, target._rank_mask),
+                                candidates)
+    assert find_embedding(host, target, candidates) == phi
+
+
+class _GatherSpy(np.ndarray):
+    """A rank table that records how many entries each gather reads."""
+
+    reads: list = []
+
+    def __getitem__(self, index):
+        type(self).reads.append(np.size(index))
+        return np.ndarray.__getitem__(self.view(np.ndarray), index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedding_cases(), st.integers(1, 40))
+def test_gathers_stay_within_the_read_block(case, block):
+    """With READ_BLOCK cut to a few entries, the blocked gathers read no
+    more at a time (one mask row at least) and accept the same candidates."""
+    host, target, candidates = case
+    expect = embedding_all_subsets(Matroid(host.size, host._rank_mask),
+                                   target, candidates)
+    host._table = rank_table(host).view(_GatherSpy)
+    _GatherSpy.reads = []
+    with mock.patch.object(isomorphism, "READ_BLOCK", block):
+        assert find_embedding(host, target, candidates) == expect
+    assert max(_GatherSpy.reads, default=0) <= max(block, host.size)

@@ -87,6 +87,26 @@ def test_find_clique_minor():
     assert find_clique_minor(uniform(2, 4), 3) is None
 
 
+def test_a_clique6_search_builds_one_table_per_side(monkeypatch):
+    """A relabelled clique(6) host and the clique(6) target are simple, so
+    the search builds no identity minor of either: one table build each,
+    and the target's classes are read off its table, not its oracle."""
+    rep = clique(6).provenance
+    edges = list(rep.edges)
+    random.Random(3).shuffle(edges)
+    builds = []
+    fast = LinearRep.rank_table_fast
+    monkeypatch.setattr(LinearRep, "rank_table_fast",
+                        lambda self: builds.append(self) or fast(self))
+    assert find_clique_minor(from_graph(rep.n_vertices, edges), 5) is not None
+    assert len(builds) == 2
+    target = clique(6)
+    oracle, calls = target._rank_mask, []
+    target._rank_mask = lambda mask: calls.append(mask) or oracle(mask)
+    assert has_minor(from_graph(rep.n_vertices, edges), target) is not None
+    assert len(calls) <= 1  # its full rank
+
+
 def test_minor_size_cap():
     with pytest.raises(ResourceLimitError):
         has_minor(clique(8), clique(3))  # 28 elements over the default cap

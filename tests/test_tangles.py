@@ -196,6 +196,22 @@ def test_lifted_flags_match_the_spread_gather(case):
                           pack(lift_by_spread(flags, n, mapping)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                         max_size=n),
+    st.booleans(), st.integers(0, 2**32 - 1))))
+def test_lifted_runs_match_the_spread_gather(case):
+    """Sorted images make runs of consecutive host elements mapped to
+    consecutive target elements, and runs of unmapped ones between them,
+    which the lift merges into one axis each."""
+    n, hosts, ascending, seed = case
+    mapping = list(enumerate(sorted(hosts, reverse=not ascending)))
+    flags = np.random.default_rng(seed).random(1 << len(mapping)) < 0.5
+    assert np.array_equal(_lift(flags, n, mapping),
+                          pack(lift_by_spread(flags, n, mapping)))
+
+
 def test_clique7_induced_tangle_fits_in_6_mib():
     """A clique(5) tangle lifted onto clique(7) takes no per-subset index:
     the host's lambda is built beforehand, and the lift is one byte per
