@@ -83,6 +83,21 @@ class Recipe:
     args: tuple = ()
     params: dict = field(default_factory=dict)
 
+    def to_linear(self):
+        """A GF(p) matrix of the recipe's matroid when it is the dual of a
+        represented matroid: one whose provenance has a to_linear matrix
+        (a GF(p) matrix, a graph or decorated graph, or such a dual), whose
+        dual_rep this is. None for any other recipe."""
+        to_linear = (getattr(self.args[0].provenance, "to_linear", None)
+                     if self.op == "dual" else None)
+        rep = None if to_linear is None else to_linear()
+        return None if rep is None else rep.dual_rep()
+
+    def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]):
+        """The minor_rep of the to_linear matrix, or None without one."""
+        rep = self.to_linear()
+        return None if rep is None else rep.minor_rep(contract, delete)
+
     def rank_table_fast(self) -> Optional[np.ndarray]:
         """Rank table of the recipe's matroid by array transforms of its
         operands' tables.
@@ -307,10 +322,12 @@ def minor_with_map(m: Matroid, contract: Iterable[int], delete: Iterable[int],
     """Minor m / contract \\ delete plus the kept-element map.
 
     Returns (N, keep) where N's element i corresponds to host element keep[i].
-    A minor of a represented matroid is its representation: when the host's
-    provenance yields a representation of the minor, N is that
-    representation's matroid and never reads the host's oracle. Otherwise N
-    ranks through the host, with a minor recipe as provenance (or none).
+    A minor of a represented matroid, or of the dual of one, is its
+    representation: when the host's provenance yields a representation of
+    the minor (a dual's through the dual's matrix, see Recipe.to_linear),
+    N is that representation's matroid and never reads the host's oracle
+    or builds the host's table. Otherwise N ranks through the host, with a
+    minor recipe as provenance (or none).
     """
     cmask = m.mask(contract)
     dmask = m.mask(delete)
@@ -354,12 +371,33 @@ def restriction(m: Matroid, subset: Iterable[int]) -> Matroid:
 
 
 def dual(m: Matroid) -> Matroid:
-    """Dual matroid: r*(X) = |X| + r(E-X) - r(E)."""
+    """Dual matroid: r*(X) = |X| + r(E-X) - r(E).
+
+    Its provenance is a dual recipe over m: exchange documents record it,
+    and it builds the rank table from m's. When m is represented, so is
+    the dual, through Recipe.to_linear, and its minors are matrices. When
+    m's oracle has a batch form, so has the dual's: m's batch ranks of the
+    complements, plus |X| counted byte by byte, minus r(E).
+    """
     full = m.full_mask
     rm = m.full_rank()
 
     def rank_mask(mask: int) -> int:
         return popcount(mask) + m.r(full & ~mask) - rm
+
+    batch = getattr(m._rank_mask, "batch", None)
+    if batch is not None:
+        count = popcount_table(8)
+
+        def rank_masks(masks: np.ndarray) -> np.ndarray:
+            wide = masks.astype(np.uint64)
+            ranks = batch(wide ^ np.uint64(full))
+            ranks += count[wide.view(np.uint8)].reshape(-1, 8).sum(
+                axis=1, dtype=np.uint8)
+            ranks -= rm
+            return ranks
+
+        rank_mask.batch = rank_masks
 
     return Matroid(m.size, rank_mask, provenance=Recipe("dual", args=(m,)),
                    name=f"{m.name}*" if m.name else "")
@@ -425,7 +463,8 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     through its table or its provenance, nor a representation of the
     minor. The C(k, r(target)) reads go READ_BLOCK masks at a time, to the
     oracle's batch form when it has one (representations give theirs as
-    the batch attribute of the oracle function) and the block has at least
+    the batch attribute of the oracle function, and a dual of an oracle
+    with one has one too, see dual) and the block has at least
     BATCH_MIN masks, else one call each: to that oracle, around host.r's
     memo, when it has a batch form, and to host.r when it has none. A
     bijection is the certificate with nothing contracted or deleted. A

@@ -34,7 +34,7 @@ from .core import (
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .isomorphism import find_embedding
-from .representations import GraphRep, LinearRep, standard_rep
+from .representations import GraphRep, standard_rep
 from .constructions import (_spike, clique, fano, free_ext_clique, square_ext,
                             triangle_ext, uniform, whirl)
 
@@ -56,12 +56,13 @@ def has_minor(m: Matroid, target: Matroid) -> Optional[MinorCertificate]:
 
     A negative is decided by class first, reading only the target: a
     graph host has only graphic minors, and a GF(q) host (q = 2, 3; a
-    GF(q) matrix, or a decorated graph through its matrix) only
-    GF(q)-representable ones, so the answer is None when the target's
-    simplification is not graphic, or has no [I | A] over GF(q) (see
-    standard_rep). The class test is skipped when it cannot say no: for a
-    graph target, for a target represented over m's field, for any other
-    host, and for a simplification over TABLE_CAP elements.
+    GF(q) matrix, a decorated graph through its matrix, or the dual of a
+    represented matroid through the dual's matrix, so a cographic host is
+    binary) only GF(q)-representable ones, so the answer is None when the
+    target's simplification is not graphic, or has no [I | A] over GF(q)
+    (see standard_rep). The class test is skipped when it cannot say no:
+    for a graph target, for a target represented over m's field, for any
+    other host, and for a simplification over TABLE_CAP elements.
 
     m's ranks, and the target's, are read from the rank table when it is
     cached or the provenance builds it, else from the oracle; a simple
@@ -122,11 +123,12 @@ def _outside_host_class(m: Matroid, target: Matroid, t_si: Matroid) -> bool:
 
 
 def _field(rep) -> Optional[int]:
-    """The prime of a GF(p) representation, directly or through
-    to_linear, else None."""
-    if not isinstance(rep, LinearRep) and hasattr(rep, "to_linear"):
-        rep = rep.to_linear()
-    return rep.prime if isinstance(rep, LinearRep) else None
+    """The prime of the GF(p) matrix a provenance gives through to_linear:
+    a matrix's own, a graph's or decorated graph's, or, for the dual of
+    any of these, the dual's (Recipe.to_linear). None for other recipes
+    and for no provenance."""
+    rep = rep.to_linear() if hasattr(rep, "to_linear") else None
+    return None if rep is None else rep.prime
 
 
 def _embed_restriction(m, r, cmask, t_si, t_classes, t_loops):

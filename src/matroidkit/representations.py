@@ -102,7 +102,7 @@ def _eliminate(a: list[list[int]], p: int, columns: Iterable[int]
     is moved up to row i; it is 1 in the i-th pivot column, where every
     other row is 0. The rows without a pivot follow in their own order.
     The one GF(p) list elimination, shared by _code_basis,
-    LinearRep.minor_rep and _fix_ternary."""
+    LinearRep.dual_rep, LinearRep.minor_rep and _fix_ternary."""
     inv = _inverses(p)
     piv: list[int] = []
     for j in columns:
@@ -122,26 +122,34 @@ def _eliminate(a: list[list[int]], p: int, columns: Iterable[int]
     return piv
 
 
+def _dual_basis(a: list[list[int]], piv: list[int], m: int) -> np.ndarray:
+    """Rows spanning the dual of the row space of a GF(p) matrix with m
+    columns, given as the lists a that _eliminate reduced on every column,
+    with pivots piv: a[:r] is [I_r | A] (columns permuted), and its dual
+    code is the row space of [-A^T | I_{m-r}] (Oxley, Matroid Theory,
+    2.2.8), here [A^T | I] in the same columns, as negating the pivot
+    columns changes no word's support and no rank."""
+    r = len(piv)
+    free = [j for j in range(m) if j not in piv]
+    dual = np.zeros((m - r, m), dtype=np.uint8)
+    dual[:, piv] = np.array(a[:r], dtype=np.uint8).reshape(r, m)[:, free].T
+    dual[range(m - r), free] = 1
+    return dual
+
+
 def _code_basis(rows: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
     """A basis of the row space C of a GF(p) matrix with m columns, or of
     its dual code when dim C > m / 2, and whether it is the dual's: the
     rows reduced to [I | A] (columns permuted) by _eliminate on every
-    column, else [A^T | I] in the same columns. The dual code is the row
-    space of [-A^T | I]; negating the pivot columns changes no word's
-    support. The elimination runs on Python lists, which beat numpy calls
-    on the small matrices most tables come from."""
+    column, else their _dual_basis. The elimination runs on Python lists,
+    which beat numpy calls on the small matrices most tables come from."""
     a = rows.tolist()
     m = rows.shape[1]
     piv = _eliminate(a, p, range(m))
     r = len(piv)
-    reduced = np.array(a[:r], dtype=np.uint8).reshape(r, m)
     if 2 * r <= m:
-        return reduced, False
-    free = [j for j in range(m) if j not in piv]
-    dual = np.zeros((m - r, m), dtype=np.uint8)
-    dual[:, piv] = reduced[:, free].T
-    dual[range(m - r), free] = 1
-    return dual, True
+        return np.array(a[:r], dtype=np.uint8).reshape(r, m), False
+    return _dual_basis(a, piv, m), True
 
 
 def _span(basis: np.ndarray, p: int) -> np.ndarray:
@@ -361,6 +369,18 @@ class LinearRep:
                 hi += rest
                 hi %= p
         return rank
+
+    def to_linear(self) -> "LinearRep":
+        return self
+
+    def dual_rep(self) -> "LinearRep":
+        """Matrix of the dual matroid, column i still element i: the
+        _dual_basis of the rows."""
+        m = len(self.columns)
+        a = [[col[j] for col in self.columns] for j in range(self.n_rows)]
+        dual = _dual_basis(a, _eliminate(a, self.prime, range(m)), m)
+        return LinearRep(self.prime, len(dual),
+                         tuple(map(tuple, dual.T.tolist())))
 
     def minor_rep(self, contract: tuple[int, ...], delete: tuple[int, ...]
                   ) -> "LinearRep":

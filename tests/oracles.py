@@ -306,6 +306,24 @@ def _image(mask: int, perm, n: int) -> int:
     return img
 
 
+def minor_ranks_walk(host, contract, delete) -> list[int]:
+    """Ranks of host / contract \\ delete on every mask of its kept
+    elements (in ascending order), read subset by subset through host.r as
+    r(C + image(x)) - r(C): what a minor recipe's oracle answers."""
+    cm = sum(1 << c for c in contract)
+    gone = cm | sum(1 << d for d in delete)
+    keep = [e for e in range(host.size) if not (gone >> e) & 1]
+    base = host.r(cm)
+    out = []
+    for mask in range(1 << len(keep)):
+        hm = cm
+        for i, h in enumerate(keep):
+            if (mask >> i) & 1:
+                hm |= 1 << h
+        out.append(host.r(hm) - base)
+    return out
+
+
 def certificate_walk(cert, host, target) -> bool:
     """Minor certificate check subset by subset through host.r and target.r.
 

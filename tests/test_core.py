@@ -337,6 +337,16 @@ def test_certificate_on_a_represented_host_reads_only_two_ranks_one_by_one():
     assert sorted(host._cache) == [0, host.full_mask]
 
 
+def test_certificate_on_a_dual_host_reads_its_bases_in_batch():
+    # the dual's batch form ranks the complements of its C(21, 15) bases
+    # by clique(7)'s batch form, so clique(7)'s memo keeps r(E) and r(0)
+    inner = clique(7)
+    host = dual(inner)
+    assert validate_certificate(_identity(host), host, dual(clique(7)))
+    assert sorted(host._cache) == [0, host.full_mask]
+    assert sorted(inner._cache) == [0, inner.full_mask]
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 64])
 def test_certificate_naming_a_host_element_out_of_range_is_rejected(bad):
     cert = MinorCertificate(frozenset(), frozenset(),

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from matroidkit import Matroid, clique, direct_sum, dual, fano, uniform, whirl
+from matroidkit import (Matroid, clique, contract, delete, direct_sum, dual,
+                        even_cycle, fano, from_graph, rank_table, uniform,
+                        whirl)
 from matroidkit.constructions import (
     free_ext_clique,
     n_square,
@@ -29,6 +32,8 @@ ROUND_TRIP = [
     free_ext_clique(4),
     principal_extension(clique(4), [0, 5]),
     dual(fano()),
+    dual(clique(4)),
+    dual(n_square_even_cycle_rep(3).matroid("ec")),
     direct_sum(uniform(2, 3), clique(3)),
     n_square(3),
 ]
@@ -41,6 +46,39 @@ def test_round_trip_is_byte_exact(m):
     assert serialize(again) == text
     assert same_rank_function(again, m)
     assert again.name == m.name
+
+
+DUAL_DOCUMENTS = [
+    (lambda: dual(from_graph(3, [(0, 1), (1, 2), (0, 2)], name="C3")),
+     {"kind": "recipe", "op": "dual", "params": {}, "name": "C3*",
+      "args": [{"kind": "graph", "n_vertices": 3, "name": "C3",
+                "edges": [[0, 1], [1, 2], [0, 2]]}]}),
+    (lambda: dual(even_cycle(2, [(0, 1), (1, 1)], [1])),
+     {"kind": "recipe", "op": "dual", "params": {},
+      "args": [{"kind": "even-cycle", "n_vertices": 2, "odd": [1],
+                "edges": [[0, 1], [1, 1]]}]}),
+]
+
+
+@pytest.mark.parametrize("build,doc", DUAL_DOCUMENTS, ids=["graph", "even"])
+def test_a_represented_dual_is_written_as_its_dual_recipe(build, doc,
+                                                          tmp_path):
+    # the dual's matrix serves its minors only; its document is unchanged
+    path = tmp_path / "d.json"
+    dump(build(), path)
+    doc = {"format": "matroid-exchange", "version": 1, **doc}
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m", [dual(clique(4)), dual(dual(fano())),
+                               dual(n_triangle_signed_rep(3).matroid())],
+                         ids=["graph", "linear", "signed"])
+def test_a_minor_of_a_represented_dual_is_written_as_a_matrix(m):
+    minor = contract(delete(m, [0]), [1])
+    again = deserialize(serialize(minor))
+    assert json.loads(serialize(minor))["kind"] == "linear"
+    assert serialize(again) == serialize(minor)
+    assert np.array_equal(rank_table(again), rank_table(minor))
 
 
 def test_dump_load(tmp_path):

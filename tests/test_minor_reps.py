@@ -18,8 +18,10 @@ from matroidkit.constructions import free_extension, truncation, uniform
 from matroidkit.core import (
     Matroid,
     MinorCertificate,
+    Recipe,
     dual,
     minor_with_map,
+    rank_table,
     validate_certificate,
 )
 from matroidkit.representations import (
@@ -30,7 +32,7 @@ from matroidkit.representations import (
     from_matrix,
 )
 
-from oracles import certificate_walk
+from oracles import certificate_walk, minor_ranks_walk
 from strategies import graph_reps, linear_reps, planted_reps
 
 
@@ -60,21 +62,11 @@ def with_split(reps):
                                               splits(_size(rep))))
 
 
-def _contracted_rank(host, cmask, keep, mask):
-    image = cmask
-    for i, h in enumerate(keep):
-        if (mask >> i) & 1:
-            image |= 1 << h
-    return host.r(image) - host.r(cmask)
-
-
 def _check_minor(host, contract, delete):
     """The minor's ranks against the host oracle; returns the minor."""
-    minor, keep = minor_with_map(host, contract, delete)
+    minor, _ = minor_with_map(host, contract, delete)
     ranks = [minor.r(mask) for mask in range(1 << minor.size)]
-    cmask = sum(1 << c for c in contract)
-    assert ranks == [_contracted_rank(host, cmask, keep, mask)
-                     for mask in range(1 << minor.size)]
+    assert ranks == minor_ranks_walk(host, contract, delete)
     return minor
 
 
@@ -106,6 +98,39 @@ def test_decorated_graph_minors(case):
     for mask in range(1 << again.size):
         again.r(mask)
     assert len(fresh._cache) == 0  # the minor never asked the host
+
+
+# operands with no elements, and of rank 0 with and without rows
+EDGE_OPERANDS = [LinearRep(2, 3, ()), LinearRep(5, 0, ()), GraphRep(1, ()),
+                 EvenCycleRep(2, (), frozenset()), LinearRep(7, 0, ((),) * 3),
+                 LinearRep(3, 2, ((0, 0),) * 4), GraphRep(2, ((0, 0), (1, 1))),
+                 SignedGraphRep(2, ((1, 1),), frozenset())]
+
+
+@st.composite
+def represented_duals(draw):
+    """dual(X) or dual(dual(X)) for X a GF(2), GF(3), GF(5) or GF(7)
+    matrix, a graph, a decorated graph or an edge case, with the operand
+    of the outer dual."""
+    rep = draw(st.one_of(linear_reps(), graph_reps(), decorated_reps(),
+                         st.sampled_from(EDGE_OPERANDS)))
+    operand = rep.matroid()
+    if draw(st.booleans()):
+        operand = dual(operand)
+    return dual(operand), operand
+
+
+@settings(max_examples=200, deadline=None)
+@given(represented_duals().flatmap(
+    lambda pair: st.tuples(st.just(pair), splits(pair[0].size))))
+def test_minor_of_a_represented_dual_is_the_duals_matrix(case):
+    (host, operand), (contract, delete) = case
+    assert host.provenance == Recipe("dual", args=(operand,))
+    minor, _ = minor_with_map(host, contract, delete)
+    assert isinstance(minor.provenance, LinearRep)
+    assert rank_table(minor).tolist() == minor_ranks_walk(host, contract,
+                                                          delete)
+    assert host._table is None  # no host table was built
 
 
 def _perturb(cert, rng):
@@ -237,8 +262,11 @@ def _batch_agrees(m, masks):
 @given(st.one_of(linear_reps(), planted_reps(primes=(3,)), graph_reps(),
                  decorated_reps()), st.data())
 def test_batch_rank_agrees_with_the_scalar_oracle(rep, data):
-    # every mask of one popcount, as validate_certificate reads them
+    # every mask of one popcount, as validate_certificate reads them; a
+    # dual's batch form is its operand's on the complements
     m = rep.matroid()
+    for _ in range(data.draw(st.integers(0, 2))):
+        m = dual(m)
     k = data.draw(st.integers(0, m.size))
     _batch_agrees(m, spread_choose(0, [1 << e for e in range(m.size)], k))
 
@@ -281,6 +309,8 @@ def test_batch_rank_on_a_host_over_31_elements(rep):
                      dtype=np.uint64)
     assert int(masks.max()) >> 31
     _batch_agrees(rep.matroid(), masks)
+    _batch_agrees(dual(rep.matroid()), masks)
+    _batch_agrees(dual(rep.matroid()), masks.astype(np.int64))
 
 
 def test_validation_reads_the_hosts_own_oracle():

@@ -117,6 +117,9 @@ def test_minor_size_cap():
 
 TERNARY = [[1, 0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 0, 1], [0, 0, 1, 0, 0, 1, 2]]
 BINARY = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
+# its dual has rank 4 on 8 elements, so F7 fits after one contraction
+TERNARY_4X8 = [[1, 0, 0, 0, 1, 1, 2, 0], [0, 1, 0, 0, 1, 2, 0, 1],
+               [0, 0, 1, 0, 0, 1, 1, 2], [0, 0, 0, 1, 2, 0, 1, 1]]
 
 # the last five are outside the graphic or the binary or the ternary class
 SMALL_TARGETS = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4),
@@ -197,6 +200,8 @@ CLASS_NEGATIVES = [
     ("signed-f7", lambda: signed_graphic(3, [(0, 1), (1, 2), (0, 2), (0, 0),
                                              (1, 1), (2, 2), (0, 1)], [3, 6]),
      fano()),
+    ("cographic-u24", lambda: dual(clique(4)), uniform(2, 4)),
+    ("ternary-dual-f7", lambda: dual(from_matrix(TERNARY_4X8, 3)), fano()),
 ]
 
 
@@ -215,6 +220,24 @@ def test_a_class_negative_reads_no_host_oracle_and_searches_nothing(
     assert has_minor(host, target) is None
     assert calls == []
     assert not minor_brute(Matroid(host.size, oracle), target)
+
+
+def test_a_cographic_host_turns_away_u24_before_any_search(monkeypatch):
+    # M*(K5) is binary through the dual's matrix and U(2,4) is not, so no
+    # contraction set is tried and find_embedding is never called
+    calls = []
+    for name in ("find_embedding", "_embed_restriction"):
+        monkeypatch.setattr(minors, name, lambda *args, name=name, **kwargs:
+                            calls.append(name))
+    assert has_minor(dual(clique(5)), uniform(2, 4)) is None
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_hosts(), spanning_hosts()), small_targets())
+def test_has_minor_on_a_represented_dual_matches_brute_and_its_twin(rep,
+                                                                    target):
+    _agrees_with_brute_and_its_twin(dual(rep.matroid()), target)
 
 
 CLASS_SKIPS = [
