@@ -19,6 +19,7 @@ from .core import (
     check_size,
     closure_mask,
     contract,
+    rank_reader,
 )
 from .errors import DomainError, PreconditionError
 from .representations import (
@@ -319,7 +320,7 @@ def is_spike(m: Matroid) -> Optional[SpikeDecomposition]:
     tip set T and pairs the rest by the rank-2 flats through T; the firsts
     of the pairs must then be a circuit of M/T.
     """
-    r = m.r if m._table is None else m._table.tobytes().__getitem__
+    r = m.r if m._table is None else rank_reader(m)
     return _spike(r, 0, range(m.size))
 
 

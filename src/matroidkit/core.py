@@ -26,20 +26,20 @@ from .errors import (
 
 GROUND_SET_CAP = 64
 
-# Memo entries per matroid; beyond this, rank queries stop caching. No
-# suite needs the memo now: their sweeps read rank tables, and with it off
-# linking and extension-reduction lose only tens of milliseconds. It stays
-# because perfbench's tracer reads m._cache to count memo hits.
+# Memo entries per matroid; beyond this, rank queries stop caching. Only
+# Matroid.r reads it (rank_reader with no table, the scalar call sites);
+# oracle_view and table reads pass it by. It stays because perfbench's
+# tracer reads m._cache to count memo hits.
 _CACHE_LIMIT = 1 << 20
 
 # Exhaustive subset sweeps (rank tables, axiom checks) refuse above this.
 TABLE_CAP = 22
 
-# Masks validate_certificate builds and reads at a time.
+# Masks a bulk read (certificate bases, an oracle walk) takes at a time.
 READ_BLOCK = 1 << 16
 
-# A block of fewer masks goes to the scalar oracle even when it has a batch
-# form, whose fixed numpy cost outweighs that many scalar reads.
+# oracle_view sends fewer masks to the scalar oracle even when it has a
+# batch form, whose fixed numpy cost outweighs that many scalar reads.
 BATCH_MIN = 32
 
 # Scratch bytes one rank-table builder may allocate. A builder whose
@@ -375,8 +375,8 @@ def dual(m: Matroid) -> Matroid:
 
     Its provenance is a dual recipe over m: exchange documents record it,
     and it builds the rank table from m's. When m is represented, so is
-    the dual, through Recipe.to_linear, and its minors are matrices. When
-    m's oracle has a batch form, so has the dual's: m's batch ranks of the
+    the dual, through Recipe.to_linear, and its minors are matrices. Its
+    oracle reads m.r; its batch form reads m's oracle_view of the
     complements, plus |X| counted byte by byte, minus r(E).
     """
     full = m.full_mask
@@ -385,19 +385,15 @@ def dual(m: Matroid) -> Matroid:
     def rank_mask(mask: int) -> int:
         return popcount(mask) + m.r(full & ~mask) - rm
 
-    batch = getattr(m._rank_mask, "batch", None)
-    if batch is not None:
-        count = popcount_table(8)
+    def rank_masks(masks: np.ndarray) -> np.ndarray:
+        wide = masks.astype(np.uint64)
+        ranks = oracle_view(m, wide ^ np.uint64(full))
+        ranks += popcount_table(8)[wide.view(np.uint8)].reshape(-1, 8).sum(
+            axis=1, dtype=np.uint8)
+        ranks -= rm
+        return ranks
 
-        def rank_masks(masks: np.ndarray) -> np.ndarray:
-            wide = masks.astype(np.uint64)
-            ranks = batch(wide ^ np.uint64(full))
-            ranks += count[wide.view(np.uint8)].reshape(-1, 8).sum(
-                axis=1, dtype=np.uint8)
-            ranks -= rm
-            return ranks
-
-        rank_mask.batch = rank_masks
+    rank_mask.batch = rank_masks
 
     return Matroid(m.size, rank_mask, provenance=Recipe("dual", args=(m,)),
                    name=f"{m.name}*" if m.name else "")
@@ -461,15 +457,11 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     and for each r(target)-subset X exactly when X is a target basis. That
     is C(k, r(target)) + 2 reads through the host's own oracle, never
     through its table or its provenance, nor a representation of the
-    minor. The C(k, r(target)) reads go READ_BLOCK masks at a time, to the
-    oracle's batch form when it has one (representations give theirs as
-    the batch attribute of the oracle function, and a dual of an oracle
-    with one has one too, see dual) and the block has at least
-    BATCH_MIN masks, else one call each: to that oracle, around host.r's
-    memo, when it has a batch form, and to host.r when it has none. A
-    bijection is the certificate with nothing contracted or deleted. A
-    target over TABLE_CAP elements raises ResourceLimitError from its rank
-    table.
+    minor: r(C) and r(C + image) through host.r, and the C(k, r(target))
+    others through oracle_view, READ_BLOCK masks at a time, around host.r's
+    memo. A bijection is the certificate with nothing contracted or
+    deleted. A target over TABLE_CAP elements raises ResourceLimitError
+    from its rank table.
     """
     cmask = host.mask(cert.contract)
     dmask = host.mask(cert.delete)
@@ -493,17 +485,9 @@ def validate_certificate(cert: MinorCertificate, host: Matroid,
     # C + image(X) for every target subset X of size r(target)
     sized = spread_choose(0, [1 << t for t in range(target.size)], rt)
     weights = [1 << pairs[t] for t in range(target.size)]
-    batch = getattr(host._rank_mask, "batch", None)
-    # an oracle with a batch form is read around the memo, even one by one
-    scalar = host.r if batch is None else host._rank_mask
     for lo in range(0, len(sized), READ_BLOCK):
         block = sized[lo:lo + READ_BLOCK]
-        masks = spread_at(cmask, weights, block)
-        if batch is not None and len(masks) >= BATCH_MIN:
-            ranks = batch(masks)
-        else:
-            ranks = np.fromiter(map(scalar, map(int, masks)), np.int16,
-                                len(masks))
+        ranks = oracle_view(host, spread_at(cmask, weights, block))
         if not np.array_equal(ranks == rc + rt, table[block] == rt):
             return False
     return True
@@ -523,8 +507,8 @@ def same_rank_function(a: Matroid, b: Matroid) -> bool:
 def rank_table(m: Matroid) -> np.ndarray:
     """Rank of every subset, indexed by mask. uint8 array of length 2^n.
 
-    The table is built at most once per matroid, cached on it and returned
-    read-only, so it costs 2^n bytes for as long as the matroid lives.
+    The table is built at most once per matroid and cached on it by
+    cache_table, so it costs 2^n bytes for as long as the matroid lives.
     Every provenance kind builds it with a few numpy passes: odd-prime and
     over-64-row GF(2) matrices from a histogram of their codewords'
     supports when there are at most 2^n codewords (always over GF(3) and
@@ -534,16 +518,16 @@ def rank_table(m: Matroid) -> np.ndarray:
     their edges touch, recipes by array transforms of their operands'
     tables.
     A matroid with no provenance, a recipe over one, or a builder whose
-    workspace would exceed TABLE_BUDGET bytes walks the oracle once per
-    subset instead.
+    workspace would exceed TABLE_BUDGET bytes walks the oracle instead,
+    READ_BLOCK subsets at a time through oracle_view, so a batch form
+    reads them in bulk and the memo keeps none.
     """
     n = check_table_size(m.size)
     table = _built_table(m)
     if table is None:
-        table = np.fromiter(map(m._rank_mask, range(1 << n)), np.uint8,
-                            1 << n)
-        table.setflags(write=False)
-        m._table = table
+        table = cache_table(m, np.concatenate([
+            oracle_view(m, np.arange(lo, min(lo + READ_BLOCK, 1 << n)))
+            for lo in range(0, 1 << n, READ_BLOCK)]))
     return table
 
 
@@ -554,16 +538,40 @@ def _built_table(m: Matroid) -> Optional[np.ndarray]:
         fast = getattr(m.provenance, "rank_table_fast", None)
         table = fast() if fast is not None else None
         if table is not None:
-            table.setflags(write=False)
-            m._table = table
+            cache_table(m, table)
+    return m._table
+
+
+def cache_table(m: Matroid, table: np.ndarray) -> np.ndarray:
+    """Cache m's uint8 rank table on m as a read-only view of its bytes,
+    made here once; rank_reader reads those bytes, the view's base."""
+    m._table = np.frombuffer(table.tobytes(), np.uint8)
     return m._table
 
 
 def rank_reader(m: Matroid) -> Callable[[int], int]:
-    """m's ranks by mask: read from its rank table when it is cached or
-    m's provenance builds it, else m.r."""
+    """m's ranks by mask: the bytes of its rank table, with no copy, when it
+    is cached or m's provenance builds it, else m.r and its memo."""
     table = _built_table(m)
-    return m.r if table is None else table.tobytes().__getitem__
+    return m.r if table is None else table.base.__getitem__
+
+
+def rank_gather(m: Matroid, masks: np.ndarray) -> np.ndarray:
+    """m's ranks of an array of masks: a gather of its rank table when it
+    is cached or m's provenance builds it, else oracle_view(m, masks)."""
+    table = _built_table(m)
+    return oracle_view(m, masks) if table is None else table[masks]
+
+
+def oracle_view(m: Matroid, masks: np.ndarray) -> np.ndarray:
+    """m's ranks of an array of masks, as uint8, from m's own oracle, never
+    its table or its memo: by the oracle's batch form (an attribute of the
+    oracle function, as representations and dual give it) for a block of
+    at least BATCH_MIN masks, else one oracle call per mask."""
+    batch = getattr(m._rank_mask, "batch", None)
+    if batch is not None and len(masks) >= BATCH_MIN:
+        return batch(masks)
+    return np.fromiter(map(m._rank_mask, memoryview(masks)), np.uint8)
 
 
 def closed_flags(table: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._bits import elements_of
-from .core import READ_BLOCK, Matroid, _built_table, rank_reader
+from .core import READ_BLOCK, Matroid, _built_table, rank_gather, rank_reader
 from .errors import ResourceLimitError
 
 
@@ -103,10 +103,10 @@ def find_embedding(host: Matroid, target: Matroid,
 
     The target's side depends only on the depth, so it is read once per
     depth: the prefix's independent subsets are an int64 array of masks,
-    r(X + t) one gather of the target's rank table (or one oracle read per
-    X when it has none), and the X that stay independent those whose rank
-    grows past |X|. When the host has a rank table, cached or built by its
-    provenance, every node tests all of its open candidates at once:
+    r(X + t) one rank_gather of the target (a gather of its rank table, or
+    its oracle_view when it has none), and the X that stay independent
+    those whose rank grows past |X|. On a host with a rank table, cached
+    or built by its provenance, each node tests all open candidates at once:
     ht[phi(X) | h] == r(X + t) over masks x candidates, gathered at most
     READ_BLOCK entries at a time. A host with no table is read lazily
     through its oracle, one subset at a time, a candidate dropped at the
@@ -118,7 +118,6 @@ def find_embedding(host: Matroid, target: Matroid,
         raise ResourceLimitError("embedding search needs |E(target)| <= 20")
     if nt > host.size:
         return None
-    tt = _built_table(target)
     tr = rank_reader(target)
     order = _constraint_order(tr, nt)
     if candidates is None:
@@ -142,9 +141,7 @@ def find_embedding(host: Matroid, target: Matroid,
         t = order[depth]
         if depth == len(levels):  # first visit: r(X + t), and which X grow
             with_t = t_masks | 1 << t
-            ranks = (tt[with_t] if tt is not None else
-                     np.fromiter(map(tr, with_t.tolist()), np.uint8,
-                                 len(with_t)))
+            ranks = rank_gather(target, with_t)
             grow = np.flatnonzero(ranks > t_sizes)
             t_masks = np.concatenate((t_masks, with_t[grow]))
             t_sizes = np.concatenate((t_sizes, t_sizes[grow] + 1))

@@ -27,8 +27,8 @@ import numpy as np
 from ._bits import (complement, first_member, has_member, maximal_family,
                     members, or_up, pack, pack_masks, popcount,
                     popcount_table, unpack)
-from .core import (Matroid, MinorCertificate, lambda_of, rank_table,
-                   validate_certificate, validate_rank_axioms)
+from .core import (Matroid, MinorCertificate, cache_table, lambda_of,
+                   rank_table, validate_certificate, validate_rank_axioms)
 from .connectivity import connectivity_mask
 from .constructions import clique
 from .errors import DomainError, PreconditionError
@@ -180,10 +180,9 @@ def tangle_matroid(t: Tangle) -> Matroid:
     for e in range(m.size):
         v = table.reshape(-1, 2, 1 << e)
         np.minimum(v[:, 0], v[:, 1], out=v[:, 0])
-    table.setflags(write=False)
-    out = Matroid(m.size, lambda mask: int(table[mask]),
+    out = Matroid(m.size, lambda mask: int(out._table[mask]),
                   name=f"tangle-matroid(order {t.theta})")
-    out._table = table
+    cache_table(out, table)
     if m.size <= 12:
         validate_rank_axioms(out)
     return out

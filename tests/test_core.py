@@ -300,7 +300,8 @@ def test_certificate_workspace_grows_with_the_bases_not_the_subsets():
     host, target = free_ext_clique(7), free_ext_clique(7)
     rank_table(target)
     cert = _identity(host)
-    # the first call fills host.r's memo (7.5 MiB), which the second reads
+    # the first call fills the memo of the host's operand, clique(7)
+    # (7.5 MiB), which the second reads
     assert validate_certificate(cert, host, target)
     tracemalloc.start()
     try:
@@ -313,14 +314,14 @@ def test_certificate_workspace_grows_with_the_bases_not_the_subsets():
 
 def test_certificate_on_a_scalar_oracle_keeps_no_list_of_its_bases():
     # clique(7) through a plain function has no batch form, so its
-    # C(21, 6) = 54,264 bases go to host.r one call each; a Python list of
-    # them all would take about 2 MiB on its own
+    # C(21, 6) = 54,264 bases go to that function one call each; a Python
+    # list of them all would take about 2 MiB on its own
     inner = clique(7)
     host = Matroid(21, lambda mask: inner._rank_mask(mask))
     target = clique(7)
     rank_table(target)
     cert = _identity(host)
-    assert validate_certificate(cert, host, target)  # fills host.r's memo
+    assert validate_certificate(cert, host, target)
     tracemalloc.start()
     try:
         assert validate_certificate(cert, host, target)

@@ -167,3 +167,64 @@ def test_unreferenced_export_is_reported(tmp_path):
     readme.write_text("Call `helper()` on a `Thing`.\n")
     assert _exported_functions(package) == ["helper", "orphan"]
     assert _unreferenced(_exported_functions(package), [readme]) == ["orphan"]
+
+
+def _sites(tree: ast.AST, match, scope: str = "") -> list[str]:
+    """The qualified names of the functions (or "" for module level) in
+    which a node satisfying match appears, once per such node."""
+    out = []
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if match(child):
+            out.append(scope)
+        out += _sites(child, match, inner)
+    return out
+
+
+def _loads_batch(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "batch" and isinstance(node.ctx, ast.Load)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "batch")
+
+
+def _stores_table(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "_table"
+            and isinstance(node.ctx, ast.Store))
+
+
+def _copies_bytes(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tobytes")
+
+
+def _package_sites(match) -> list[str]:
+    return sorted(f"{p.name}:{site}" for p in MODULES
+                  for site in _sites(ast.parse(p.read_text()), match))
+
+
+def test_one_function_per_rank_read_rule():
+    """Only core's oracle_view reads an oracle's batch form, only
+    cache_table stores a rank table (Matroid.__init__ sets it to None),
+    and no call copies a cached table: the one other tobytes is
+    standard_rep's, on the table it is handed."""
+    assert _package_sites(_loads_batch) == ["core.py:oracle_view"]
+    assert _package_sites(_stores_table) == ["core.py:Matroid.__init__",
+                                             "core.py:cache_table"]
+    assert _package_sites(_copies_bytes) == [
+        "core.py:cache_table", "representations.py:standard_rep"]
+
+
+def test_a_second_rank_read_rule_is_reported():
+    tree = ast.parse(
+        "def f(m):\n    return getattr(m._rank_mask, 'batch', None)\n\n"
+        "class A:\n    def g(self, m):\n        m._table = m._table.tobytes()"
+        "\n        return m._rank_mask.batch\n\nx = f.batch\n")
+    assert _sites(tree, _loads_batch) == ["f", "A.g", ""]
+    assert _sites(tree, _stores_table) == ["A.g"]
+    assert _sites(tree, _copies_bytes) == ["A.g"]
